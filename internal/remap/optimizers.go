@@ -218,24 +218,27 @@ func (Hungarian) Optimize(c *Conflicts, _ []int, _ *xrand.Stream) []int {
 	v := make([]int, n+1)
 	p := make([]int, n+1)   // p[j] = row assigned to column j
 	way := make([]int, n+1) // way[j] = previous column on the augmenting path
+	minv := make([]int, n+1)
+	usedCol := make([]bool, n+1)
 	for i := 1; i <= n; i++ {
 		p[0] = i
 		j0 := 0
-		minv := make([]int, n+1)
-		usedCol := make([]bool, n+1)
 		for j := 0; j <= n; j++ {
 			minv[j] = inf
+			usedCol[j] = false
 		}
 		for {
 			usedCol[j0] = true
 			i0 := p[j0]
+			row := c.C[(i0-1)*n : i0*n]
+			ui := u[i0]
 			delta := inf
 			j1 := 0
 			for j := 1; j <= n; j++ {
 				if usedCol[j] {
 					continue
 				}
-				cur := c.At(i0-1, j-1) - u[i0] - v[j]
+				cur := row[j-1] - ui - v[j]
 				if cur < minv[j] {
 					minv[j] = cur
 					way[j] = j0

@@ -44,14 +44,19 @@ func CellErr(want float64, k fault.Kind, wMax float64) float64 {
 // reference weights (zero where keep prunes them) from physical column p's
 // estimated faults. A nil keep mask keeps everything. flr is the store's
 // FaultByLogicalRows view ([logical row][physical column]).
+//
+// Only faulty cells are visited: CellErr of a healthy cell is exactly +0,
+// and adding +0 never changes a sum, so summing each lane's faulty cells in
+// ascending row order yields the same bits as summing every cell.
 func LaneCostCols(ref *tensor.Dense, keep *prune.Mask, flr *fault.Map, wMax float64) *remap.Conflicts {
 	n := ref.Cols
 	c := &remap.Conflicts{N: n, C: make([]int, n*n)}
 	scale := CostQuantum / wMax
-	for j := 0; j < n; j++ {
-		for p := 0; p < n; p++ {
+	lanes := faultyByCol(flr)
+	for p, rows := range lanes {
+		for j := 0; j < n; j++ {
 			s := 0.0
-			for i := 0; i < ref.Rows; i++ {
+			for _, i := range rows {
 				if keep != nil && !keep.At(i, j) {
 					continue
 				}
@@ -70,10 +75,11 @@ func LaneCostRows(ref *tensor.Dense, keep *prune.Mask, flc *fault.Map, wMax floa
 	n := ref.Rows
 	c := &remap.Conflicts{N: n, C: make([]int, n*n)}
 	scale := CostQuantum / wMax
-	for i := 0; i < n; i++ {
-		for p := 0; p < n; p++ {
+	lanes := faultyByRow(flc)
+	for p, cols := range lanes {
+		for i := 0; i < n; i++ {
 			s := 0.0
-			for j := 0; j < ref.Cols; j++ {
+			for _, j := range cols {
 				if keep != nil && !keep.At(i, j) {
 					continue
 				}
@@ -83,6 +89,34 @@ func LaneCostRows(ref *tensor.Dense, keep *prune.Mask, flc *fault.Map, wMax floa
 		}
 	}
 	return c
+}
+
+// faultyByCol lists, for each column of m, the rows of its faulty cells in
+// ascending order.
+func faultyByCol(m *fault.Map) [][]int {
+	out := make([][]int, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for p := 0; p < m.Cols; p++ {
+			if m.At(i, p).IsFault() {
+				out[p] = append(out[p], i)
+			}
+		}
+	}
+	return out
+}
+
+// faultyByRow lists, for each row of m, the columns of its faulty cells in
+// ascending order.
+func faultyByRow(m *fault.Map) [][]int {
+	out := make([][]int, m.Rows)
+	for p := range out {
+		for j := 0; j < m.Cols; j++ {
+			if m.At(p, j).IsFault() {
+				out[p] = append(out[p], j)
+			}
+		}
+	}
+	return out
 }
 
 // AddConflicts accumulates b into a (the two sides of a shared boundary

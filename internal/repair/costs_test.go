@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"rramft/internal/prune"
 	"rramft/internal/remap"
 	"rramft/internal/tensor"
+	"rramft/internal/testkit"
 )
 
 func TestCellErr(t *testing.T) {
@@ -147,4 +149,110 @@ func TestStayBiasPreservesStrictOrdering(t *testing.T) {
 	if got := (remap.Hungarian{}).Optimize(biased, base, nil); conf.Cost(got) != 0 {
 		t.Fatalf("solver missed the strictly cheaper optimum: %v (cost %d)", got, conf.Cost(got))
 	}
+}
+
+// denseLaneCostCols is LaneCostCols as it was before it learned to skip
+// healthy cells: every cell of every lane is priced. It is the oracle the
+// sparse build must match bit for bit.
+func denseLaneCostCols(ref *tensor.Dense, keep *prune.Mask, flr *fault.Map, wMax float64) *remap.Conflicts {
+	n := ref.Cols
+	c := &remap.Conflicts{N: n, C: make([]int, n*n)}
+	scale := CostQuantum / wMax
+	for j := 0; j < n; j++ {
+		for p := 0; p < n; p++ {
+			s := 0.0
+			for i := 0; i < ref.Rows; i++ {
+				if keep != nil && !keep.At(i, j) {
+					continue
+				}
+				s += CellErr(ref.Data[i*n+j], flr.At(i, p), wMax)
+			}
+			c.C[j*n+p] = int(s*scale + 0.5)
+		}
+	}
+	return c
+}
+
+// denseLaneCostRows is the dense oracle for LaneCostRows.
+func denseLaneCostRows(ref *tensor.Dense, keep *prune.Mask, flc *fault.Map, wMax float64) *remap.Conflicts {
+	n := ref.Rows
+	c := &remap.Conflicts{N: n, C: make([]int, n*n)}
+	scale := CostQuantum / wMax
+	for i := 0; i < n; i++ {
+		for p := 0; p < n; p++ {
+			s := 0.0
+			for j := 0; j < ref.Cols; j++ {
+				if keep != nil && !keep.At(i, j) {
+					continue
+				}
+				s += CellErr(ref.Data[i*ref.Cols+j], flc.At(p, j), wMax)
+			}
+			c.C[i*n+p] = int(s*scale + 0.5)
+		}
+	}
+	return c
+}
+
+// TestLaneCostsMatchDense pins the sparse lane-cost build to the dense
+// oracle: the remap goldens depend on every entry being bit-identical, not
+// merely close. Cases cover single-row and single-column shapes, nil and
+// random keep masks, fault densities 0, ~5% and 100% with mixed SA0/SA1,
+// reference weights beyond ±wMax, and SA0 cells under zero weights.
+func TestLaneCostsMatchDense(t *testing.T) {
+	testkit.ForAll(t, testkit.Config{Trials: 300, MaxSize: 24}, func(g *testkit.Gen) error {
+		rows, cols := g.Dim(1, 24), g.Dim(1, 24)
+		switch g.Intn(4) {
+		case 0:
+			rows = 1
+		case 1:
+			cols = 1
+		}
+		wMax := g.FloatRange(0.25, 2)
+		zeroShare := []float64{0, 0.3}[g.Intn(2)]
+		ref := tensor.NewDense(rows, cols)
+		for i := range ref.Data {
+			if !g.Bool(zeroShare) {
+				ref.Data[i] = g.FloatRange(-1.5*wMax, 1.5*wMax)
+			}
+		}
+		var keep *prune.Mask
+		if g.Bool(0.5) {
+			keep = prune.NewMask(rows, cols)
+			for i := range keep.Keep {
+				keep.Keep[i] = g.Bool(0.6)
+			}
+		}
+		density := []float64{0, 0.05, 1}[g.Intn(3)]
+		sa0 := []float64{0, 0.5, 1}[g.Intn(3)]
+		fm := fault.NewMap(rows, cols)
+		for i := range fm.Kinds {
+			if g.Bool(density) {
+				fm.Kinds[i] = fault.SA1
+				if g.Bool(sa0) {
+					fm.Kinds[i] = fault.SA0
+				}
+			}
+		}
+		g.Logf("%dx%d wMax=%v zeros=%v masked=%v density=%v sa0=%v",
+			rows, cols, wMax, zeroShare, keep != nil, density, sa0)
+
+		for _, side := range []struct {
+			name          string
+			sparse, dense *remap.Conflicts
+		}{
+			{"cols", LaneCostCols(ref, keep, fm, wMax), denseLaneCostCols(ref, keep, fm, wMax)},
+			{"rows", LaneCostRows(ref, keep, fm, wMax), denseLaneCostRows(ref, keep, fm, wMax)},
+		} {
+			if side.sparse.N != side.dense.N || len(side.sparse.C) != len(side.dense.C) {
+				return fmt.Errorf("%s: sparse N=%d (%d entries), dense N=%d (%d entries)",
+					side.name, side.sparse.N, len(side.sparse.C), side.dense.N, len(side.dense.C))
+			}
+			for k, v := range side.dense.C {
+				if side.sparse.C[k] != v {
+					return fmt.Errorf("%s: C[%d] = %d, dense oracle %d", side.name, k, side.sparse.C[k], v)
+				}
+			}
+		}
+		return nil
+	})
 }

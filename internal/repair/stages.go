@@ -3,9 +3,11 @@ package repair
 import (
 	"math"
 
+	"rramft/internal/fault"
 	"rramft/internal/mapping"
 	"rramft/internal/prune"
 	"rramft/internal/remap"
+	"rramft/internal/tensor"
 )
 
 // Stage is one step of a maintenance pass. Name doubles as the stage's
@@ -89,7 +91,9 @@ func (RetestStage) Run(ctx *Ctx) {
 // full target in one shot mid-training permanently cripples the network,
 // since pruned weights are frozen). With FaultAwarePruning, detected-faulty
 // cells score zero — an SA1 cell reads ±WMax no matter how useless the
-// weight is, so raw read magnitudes are artifacts.
+// weight is, so raw read magnitudes are artifacts. The scores are read in
+// one substrate step per store; the magnitude sort that cuts the mask runs
+// after it, on the snapshot.
 type RampMaskStage struct{}
 
 // Name implements Stage.
@@ -103,16 +107,20 @@ func (RampMaskStage) Run(ctx *Ctx) {
 		if b.Sparsity <= 0 {
 			continue
 		}
+		var score *tensor.Dense
+		var sparsity float64
 		ctx.Step(func() bool {
-			ctx.Masks[b] = rampedMask(b, ctx.Cfg, ramp)
+			score, sparsity = rampedScore(b, ctx.Cfg, ramp)
 			return false
 		})
+		ctx.Masks[b] = prune.MagnitudeMask(score, sparsity)
 	}
 }
 
-// rampedMask scores the binding's weights and cuts the ramped sparsity
-// target. Detected-faulty cells score zero under FaultAwarePruning.
-func rampedMask(b *Binding, cfg Config, ramp float64) *prune.Mask {
+// rampedScore snapshots the binding's weight scores and the ramped sparsity
+// target to cut them at — the substrate reads behind a ramped mask.
+// Detected-faulty cells score zero under FaultAwarePruning.
+func rampedScore(b *Binding, cfg Config, ramp float64) (*tensor.Dense, float64) {
 	score := b.Store.WeightSnapshot()
 	if cfg.FaultAwarePruning {
 		rows, cols := b.Store.Shape()
@@ -138,7 +146,7 @@ func rampedMask(b *Binding, cfg Config, ramp float64) *prune.Mask {
 	if sparsity >= 1 {
 		sparsity = 0.99
 	}
-	return prune.MagnitudeMask(score, sparsity)
+	return score, sparsity
 }
 
 // estFaultFraction returns the fraction of the store's cells estimated
@@ -173,6 +181,9 @@ func estFaultFraction(s *mapping.CrossbarStore) float64 {
 //     *smallest-reference* weights, and those are what re-mapping parks
 //     faults under; with a tighter budget the residual disconnect falls on
 //     whatever (possibly large) weights are left stranded on faults.
+//
+// Only the estimated-fault count reads the substrate (one step per store);
+// the magnitude sort of the immutable reference image runs after the step.
 type RefMaskStage struct{}
 
 // Name implements Stage.
@@ -182,16 +193,18 @@ func (RefMaskStage) Name() string { return "prune_score" }
 func (RefMaskStage) Run(ctx *Ctx) {
 	for _, b := range ctx.Target.Bindings {
 		b := b
+		var sparsity float64
 		ctx.Step(func() bool {
-			ctx.Masks[b] = referenceMask(b)
+			sparsity = referenceSparsity(b)
 			return false
 		})
+		ctx.Masks[b] = prune.MagnitudeMask(b.Ref, sparsity)
 	}
 }
 
-// referenceMask scores by reference magnitude and cuts at the binding's
+// referenceSparsity returns the reference mask's cut: the binding's
 // construction-time sparsity, floored at the estimated fault fraction.
-func referenceMask(b *Binding) *prune.Mask {
+func referenceSparsity(b *Binding) float64 {
 	rows, cols := b.Store.Shape()
 	faults := 0
 	for i := 0; i < rows; i++ {
@@ -209,15 +222,16 @@ func referenceMask(b *Binding) *prune.Mask {
 	if sparsity >= 1 {
 		sparsity = 0.99
 	}
-	return prune.MagnitudeMask(b.Ref, sparsity)
+	return sparsity
 }
 
 // BoundaryRemapStage re-orders neurons boundary by boundary against the
 // prospective masks, moving kept weights off (estimated) faulty cells and
-// parking prunable weights on them. Conflict inputs are snapshotted in one
-// substrate step, the optimizer runs outside any step (the expensive
-// part), and the permutation installs in a second step — inference
-// proceeds while the optimizer searches, and can never read a
+// parking prunable weights on them. The boundary's fault views and current
+// placement are snapshotted in one substrate step; the conflict matrix is
+// built and the optimizer runs outside any step (the expensive part), and
+// the permutation installs in a second step — inference proceeds while the
+// costs are priced and the optimizer searches, and can never read a
 // half-remapped tile. A boundary whose optimizer finds nothing strictly
 // better than the current placement is left alone, saving the
 // re-programming writes.
@@ -237,33 +251,30 @@ func (s BoundaryRemapStage) Run(ctx *Ctx) {
 	for _, bd := range ctx.Target.Boundaries {
 		lb, rb := ctx.Target.Bindings[bd[0]], ctx.Target.Bindings[bd[1]]
 		left, right := lb.Store, rb.Store
-		var conf *remap.Conflicts
+		var fl, fr *fault.Map
 		var base []int
 		ctx.Step(func() bool {
-			fl := left.FaultByLogicalRows()
-			fr := right.FaultByLogicalCols()
-			if fl == nil || fr == nil {
-				return false // no fault estimate yet
-			}
-			if s.Magnitude {
-				conf = LaneCostCols(lb.Ref, ctx.Masks[lb], fl, left.WMax())
-				AddConflicts(conf, LaneCostRows(rb.Ref, ctx.Masks[rb], fr, right.WMax()))
-			} else {
-				_, n := left.Shape()
-				conf = remap.BuildConflicts(remap.BoundaryInputs{
-					N:          n,
-					KeepLeft:   keepBool(left, ctx.Masks[lb]),
-					FaultLeft:  fl,
-					KeepRight:  keepBool(right, ctx.Masks[rb]),
-					FaultRight: fr,
-					Model:      ctx.Cfg.RemapModel,
-				})
-			}
+			fl, fr = left.FaultByLogicalRows(), right.FaultByLogicalCols()
 			base = left.ColPerm()
 			return false
 		})
-		if conf == nil {
-			continue
+		if fl == nil || fr == nil {
+			continue // no fault estimate yet
+		}
+		var conf *remap.Conflicts
+		if s.Magnitude {
+			conf = LaneCostCols(lb.Ref, ctx.Masks[lb], fl, left.WMax())
+			AddConflicts(conf, LaneCostRows(rb.Ref, ctx.Masks[rb], fr, right.WMax()))
+		} else {
+			_, n := left.Shape()
+			conf = remap.BuildConflicts(remap.BoundaryInputs{
+				N:          n,
+				KeepLeft:   keepBool(left, ctx.Masks[lb]),
+				FaultLeft:  fl,
+				KeepRight:  keepBool(right, ctx.Masks[rb]),
+				FaultRight: fr,
+				Model:      ctx.Cfg.RemapModel,
+			})
 		}
 		perm := ctx.Cfg.Remap.Optimize(conf, base, ctx.Rng)
 		// Left's column permutation and right's row permutation move in
@@ -313,46 +324,37 @@ func (FreeSideRemapStage) Name() string { return "remap_free" }
 // Run implements Stage.
 func (FreeSideRemapStage) Run(ctx *Ctx) {
 	for _, b := range ctx.Target.Bindings {
-		b := b
 		if b.IsConv {
 			continue
 		}
-		rows, cols := b.Store.Shape()
+		s := b.Store
+		rows, cols := s.Shape()
 		if !b.RowBound && rows > 1 {
-			freeSide(ctx, func() (*remap.Conflicts, []int) {
-				fr := b.Store.FaultByLogicalCols()
-				if fr == nil {
-					return nil, nil
-				}
-				return LaneCostRows(b.Ref, ctx.Masks[b], fr, b.Store.WMax()), b.Store.RowPerm()
-			}, b.Store.SetRowPerm)
+			freeSide(ctx, b, s.FaultByLogicalCols, s.RowPerm, LaneCostRows, s.SetRowPerm)
 		}
 		if !b.ColBound && cols > 1 {
-			freeSide(ctx, func() (*remap.Conflicts, []int) {
-				fl := b.Store.FaultByLogicalRows()
-				if fl == nil {
-					return nil, nil
-				}
-				return LaneCostCols(b.Ref, ctx.Masks[b], fl, b.Store.WMax()), b.Store.ColPerm()
-			}, b.Store.SetColPerm)
+			freeSide(ctx, b, s.FaultByLogicalRows, s.ColPerm, LaneCostCols, s.SetColPerm)
 		}
 	}
 }
 
-// freeSide runs the snapshot → solve → install protocol for one free
-// side: build reads substrate state (one step), the Hungarian solve runs
-// outside any step, and install commits the permutation (a second step)
-// when it beats the current placement.
-func freeSide(ctx *Ctx, build func() (*remap.Conflicts, []int), install func([]int) int) {
-	var conf *remap.Conflicts
+// freeSide runs the snapshot → price → solve → install protocol for one
+// free side: the side's fault view and current placement are copied in one
+// step, the lane costs (LaneCostRows or LaneCostCols) are priced and the
+// Hungarian solve runs outside any step, and install commits the
+// permutation (a second step) when it beats the current placement.
+func freeSide(ctx *Ctx, b *Binding, faults func() *fault.Map, placement func() []int,
+	price func(*tensor.Dense, *prune.Mask, *fault.Map, float64) *remap.Conflicts, install func([]int) int) {
+	var fm *fault.Map
 	var base []int
 	ctx.Step(func() bool {
-		conf, base = build()
+		fm, base = faults(), placement()
 		return false
 	})
-	if conf == nil {
-		return
+	if fm == nil {
+		return // no fault estimate yet
 	}
+	conf := price(b.Ref, ctx.Masks[b], fm, b.Store.WMax())
 	perm := remap.Hungarian{}.Optimize(StayBias(conf, base), base, nil)
 	if conf.Cost(perm) >= conf.Cost(base) {
 		return
@@ -384,7 +386,7 @@ func (InstallMonotoneStage) Run(ctx *Ctx) {
 			continue
 		}
 		ctx.Step(func() bool {
-			mask := rampedMask(b, ctx.Cfg, ramp)
+			mask := prune.MagnitudeMask(rampedScore(b, ctx.Cfg, ramp))
 			old := b.Store.KeepMask()
 			budget := len(mask.Keep) - mask.CountKept()
 			final := prune.NewMask(mask.Rows, mask.Cols)

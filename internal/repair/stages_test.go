@@ -96,7 +96,12 @@ func TestReferenceMaskFloorsAtFaultFraction(t *testing.T) {
 	// Two estimated faults on four cells floor the budget at 0.5, above
 	// BaseSparsity 0.25 — and the cut lands on the smallest *reference*
 	// weights (0.1 and 0.2), not on the faulty cells.
-	m := referenceMask(b)
+	refMask := func() *prune.Mask {
+		ctx := runCtx(&Target{Bindings: []*Binding{b}}, Config{}, 1)
+		RefMaskStage{}.Run(ctx)
+		return ctx.Masks[b]
+	}
+	m := refMask()
 	if kept := m.CountKept(); kept != 2 {
 		t.Fatalf("kept %d of 4, want 2", kept)
 	}
@@ -106,7 +111,7 @@ func TestReferenceMaskFloorsAtFaultFraction(t *testing.T) {
 
 	// Without estimated faults the construction-time budget rules.
 	b.Store.SetEstimatedFaults(nil)
-	if kept := referenceMask(b).CountKept(); kept != 3 {
+	if kept := refMask().CountKept(); kept != 3 {
 		t.Errorf("base budget kept %d of 4, want 3", kept)
 	}
 }
@@ -120,11 +125,16 @@ func TestRampedMaskZeroScoresDetectedFaults(t *testing.T) {
 	// Phase 1 ramp halves the 0.5 target to 0.25: one cell pruned. With
 	// fault-aware scoring the faulty 0.9 scores zero and is cut first;
 	// without it the smallest magnitude (0.1) goes.
-	aware := rampedMask(b, Config{FaultAwarePruning: true}, 0.5)
+	rampMask := func(cfg Config) *prune.Mask {
+		ctx := runCtx(&Target{Bindings: []*Binding{b}}, cfg, 1)
+		RampMaskStage{}.Run(ctx)
+		return ctx.Masks[b]
+	}
+	aware := rampMask(Config{FaultAwarePruning: true})
 	if aware.At(0, 0) {
 		t.Errorf("fault-aware mask kept the detected fault: %v", aware.Keep)
 	}
-	blind := rampedMask(b, Config{}, 0.5)
+	blind := rampMask(Config{})
 	if blind.At(0, 3) || !blind.At(0, 0) {
 		t.Errorf("magnitude-only mask should cut the smallest weight: %v", blind.Keep)
 	}

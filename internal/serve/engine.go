@@ -70,6 +70,7 @@ var (
 	gEpoch        = obs.NewGauge("serve.epoch")
 	hBatchSize    = obs.NewHistogram("serve.batch_size")
 	hLatencyNs    = obs.NewHistogram("serve.latency_ns")
+	hRepairHoldNs = obs.NewHistogram("serve.repair_step_hold_ns")
 )
 
 // Submission errors. ErrOverloaded is the backpressure signal (bounded

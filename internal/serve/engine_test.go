@@ -270,3 +270,23 @@ func TestQueueDepth(t *testing.T) {
 		t.Errorf("post-response QueueDepth = %d, want 0", d)
 	}
 }
+
+// TestRepairStepHoldObservedPerStep pins serve.repair_step_hold_ns: with
+// metrics on, every locked repair step observes its hold exactly once.
+func TestRepairStepHoldObservedPerStep(t *testing.T) {
+	obs.EnableMetrics()
+	m := testModelRCS(8, 0.10, fault.Unlimited())
+	e := NewEngine(m, testInSize, Config{})
+	defer e.Close()
+
+	cfg := DefaultRepairConfig()
+	cfg.Oracle = true
+	before, beforeSum := hRepairHoldNs.Count(), hRepairHoldNs.Sum()
+	st := e.RepairPass(cfg, xrand.New(5))
+	if got := hRepairHoldNs.Count() - before; got != int64(st.Steps) {
+		t.Errorf("pass of %d steps added %d hold observations", st.Steps, got)
+	}
+	if hRepairHoldNs.Sum() <= beforeSum {
+		t.Error("repair pass recorded no lock hold time")
+	}
+}

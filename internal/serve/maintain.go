@@ -146,18 +146,28 @@ func (e *Engine) RepairPass(cfg RepairConfig, rng *xrand.Stream) RepairStats {
 // lockedStep runs fn under the substrate lock, bumps the repair epoch when
 // fn reports a visible state change, and fires the test seam after the
 // lock is released — the Step hook the engine injects into the repair
-// controller.
+// controller. With metrics on, the time fn holds the lock is observed on
+// serve.repair_step_hold_ns: how long the step blocks inference.
 func (e *Engine) lockedStep(st *RepairStats, fn func() bool) {
+	metricsOn := obs.MetricsEnabled()
 	e.mu.Lock()
-	if fn() {
+	var t0 int64
+	if metricsOn {
+		t0 = e.cfg.Clock.Now()
+	}
+	changed := fn()
+	if metricsOn {
+		hRepairHoldNs.Observe(e.cfg.Clock.Now() - t0)
+	}
+	if changed {
 		v := e.epoch.Add(1)
-		if obs.MetricsEnabled() {
+		if metricsOn {
 			gEpoch.Set(v)
 		}
 	}
 	e.mu.Unlock()
 	st.Steps++
-	if obs.MetricsEnabled() {
+	if metricsOn {
 		cRepairSteps.Inc()
 	}
 	if e.repairStepHook != nil {

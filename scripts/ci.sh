@@ -29,14 +29,16 @@ go vet ./...
 go build ./...
 
 # Docs gates: every exported identifier in the observability layer, the
-# CLI helpers, the maintenance/serving layers and the hot-path substrate
-# packages must carry a doc comment (these packages define user-facing
-# contracts — telemetry, serving API, the batched-MVM equivalence rules —
-# so undocumented API is a bug), and the README CLI reference must match
-# the binaries' own -help-md output.
+# CLI helpers, the maintenance/serving layers, the hot-path substrate
+# packages and the fault/detect/prune/remap mechanism layers the repair
+# stages are built from must carry a doc comment (these packages define
+# user-facing contracts — telemetry, serving API, the batched-MVM
+# equivalence rules — so undocumented API is a bug), and the README CLI
+# reference must match the binaries' own -help-md output.
 for pkg in internal/obs internal/cliutil internal/repair internal/cluster \
            internal/rram internal/mapping internal/serve internal/perf \
-           internal/chaos; do
+           internal/chaos internal/remap internal/prune internal/fault \
+           internal/detect; do
     undocumented=$(awk '
         /^\/\// { commented = 1; next }
         /^(func|type|var|const) [A-Z]/ || /^func \([^)]*\) [A-Z]/ {
