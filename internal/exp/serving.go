@@ -131,7 +131,7 @@ func ServingUnderFaults(scale Scale, seed int64) *Report {
 		Notes: []string{
 			fmt.Sprintf("accuracy trajectory: %.3f healthy -> %.3f degraded -> %.3f repaired (no restart, repair ran under live load)",
 				healthy.Accuracy, degraded.Accuracy, repaired.Accuracy),
-			fmt.Sprintf("micro-batching: %.2fx throughput vs per-sample serving, p99 %s -> %s (batch coalescing amortizes the crossbar read per batch; see PERFORMANCE.md)",
+			fmt.Sprintf("micro-batching: %.2fx throughput vs per-sample serving, p99 %s -> %s (batch coalescing amortizes the queue, lock and per-row matmul overhead per batch; see PERFORMANCE.md)",
 				healthy.AchievedQPS/perSample.AchievedQPS, perSample.P99.Round(time.Microsecond), healthy.P99.Round(time.Microsecond)),
 			fmt.Sprintf("repair epochs advanced to %d; latency numbers are wall-clock and machine-dependent", e.Epoch()),
 		},

@@ -57,6 +57,11 @@ var (
 	cPruneWrites     = obs.NewCounter("mapping.prune_disconnect_writes")
 )
 
+// cReadRebuilds counts CrossbarStore.Read cache misses: full rebuilds of a
+// store's effective-weight matrix (DESIGN.md §7). Between substrate
+// mutations every Read is a hit and leaves it unchanged.
+var cReadRebuilds = obs.NewCounter("mapping.read_rebuilds")
+
 // StoreConfig parameterizes a CrossbarStore.
 type StoreConfig struct {
 	// Crossbar is the underlying cell/endurance model.
@@ -105,8 +110,17 @@ type CrossbarStore struct {
 	rowPerm []int  // logical row -> physical row
 	colPerm []int  // logical col -> physical col
 
-	est     *fault.Map // latest estimated fault map (physical coords)
-	readBuf *tensor.Dense
+	est *fault.Map // latest estimated fault map (physical coords)
+
+	// readBuf caches Read's result. It is current while readValid holds
+	// and the crossbar's generation still equals readGen. Every cell
+	// mutation bumps that generation; every method that changes a
+	// register Read depends on (sign, keep mask, permutations) clears
+	// readValid. Restore, the one method that changes WMax, also restores
+	// the crossbar and so bumps its generation.
+	readBuf   *tensor.Dense
+	readGen   uint64
+	readValid bool
 }
 
 // NewCrossbarStore builds a store holding w (used as the initial weights)
@@ -172,11 +186,30 @@ func (s *CrossbarStore) effWeight(i, j int) float64 {
 // exactly zero regardless of the cell state: the peripheral sign register
 // has an "off" state that disconnects the cell, which is the behaviour the
 // paper's ErrorSet model assumes (a fault under a pruned weight is never an
-// error, SA1 included). The returned matrix is owned by the store and
-// overwritten on the next call.
+// error, SA1 included).
+//
+// The returned matrix is owned by the store and callers must not mutate
+// it. Read caches it: while neither the crossbar (its generation) nor a
+// store register has changed since the last call, Read returns the same
+// matrix untouched; otherwise it rebuilds it in place. Read consumes no
+// RNG, so the cache cannot change any result (DESIGN.md §7).
 func (s *CrossbarStore) Read() *tensor.Dense {
+	if s.readValid && s.readGen == s.cb.Gen() {
+		return s.readBuf
+	}
+	if obs.MetricsEnabled() {
+		cReadRebuilds.Inc()
+	}
+	s.rebuild(s.readBuf)
+	s.readGen, s.readValid = s.cb.Gen(), true
+	return s.readBuf
+}
+
+// rebuild writes the effective logical weights into dst (rows×cols),
+// cell by cell through both permutations — the work a Read miss does.
+func (s *CrossbarStore) rebuild(dst *tensor.Dense) {
 	for i := 0; i < s.rows; i++ {
-		row := s.readBuf.Row(i)
+		row := dst.Row(i)
 		for j := 0; j < s.cols; j++ {
 			li := i*s.cols + j
 			if s.keep != nil && !s.keep[li] {
@@ -186,7 +219,6 @@ func (s *CrossbarStore) Read() *tensor.Dense {
 			row[j] = s.effWeight(i, j)
 		}
 	}
-	return s.readBuf
 }
 
 // WeightSnapshot returns a freshly allocated copy of the effective logical
@@ -239,6 +271,7 @@ func (s *CrossbarStore) programCell(li, pr, pc int, w float64) {
 	if s.cb.Fault(pr, pc).IsFault() {
 		return
 	}
+	s.readValid = false
 	if w < 0 {
 		s.sign[li] = -1
 	} else {
@@ -251,6 +284,7 @@ func (s *CrossbarStore) programCell(li, pr, pc int, w float64) {
 // conductance where still programmable, and they are frozen against future
 // updates. Kept weights are untouched. Passing nil clears the mask.
 func (s *CrossbarStore) SetPruneMask(m *prune.Mask) {
+	s.readValid = false
 	if m == nil {
 		s.keep = nil
 		return
@@ -377,9 +411,11 @@ func (s *CrossbarStore) SetColPerm(perm []int) int {
 	if obs.MetricsEnabled() {
 		cColPermInstalls.Inc()
 	}
-	eff := s.snapshotEffective()
+	eff := tensor.NewDense(s.rows, s.cols)
+	s.rebuild(eff)
 	copy(s.colPerm, perm)
-	return s.reprogram(eff)
+	s.readValid = false
+	return s.reprogram(eff.Data)
 }
 
 // SetRowPerm installs a new row permutation and re-programs moved cells.
@@ -390,26 +426,11 @@ func (s *CrossbarStore) SetRowPerm(perm []int) int {
 	if obs.MetricsEnabled() {
 		cRowPermInstalls.Inc()
 	}
-	eff := s.snapshotEffective()
+	eff := tensor.NewDense(s.rows, s.cols)
+	s.rebuild(eff)
 	copy(s.rowPerm, perm)
-	return s.reprogram(eff)
-}
-
-// snapshotEffective captures every logical weight's effective value
-// (pruned → 0, matching the disconnected periphery).
-func (s *CrossbarStore) snapshotEffective() []float64 {
-	eff := make([]float64, s.rows*s.cols)
-	for i := 0; i < s.rows; i++ {
-		for j := 0; j < s.cols; j++ {
-			li := i*s.cols + j
-			if s.keep != nil && !s.keep[li] {
-				eff[li] = 0
-				continue
-			}
-			eff[li] = s.effWeight(i, j)
-		}
-	}
-	return eff
+	s.readValid = false
+	return s.reprogram(eff.Data)
 }
 
 // reprogram writes every physical cell whose desired level (under the

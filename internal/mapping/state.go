@@ -102,6 +102,8 @@ func (s *CrossbarStore) Restore(st *StoreState) error {
 	if !(st.WMax > 0) || math.IsInf(st.WMax, 1) {
 		return fmt.Errorf("mapping: snapshot WMax %v for store %q is not a positive finite value", st.WMax, s.name)
 	}
+	// The crossbar Restore bumps the crossbar's mutation generation, which
+	// also retires Read's cached matrix for the registers restored below.
 	if err := s.cb.Restore(st.Crossbar); err != nil {
 		return fmt.Errorf("mapping: store %q: %w", s.name, err)
 	}

@@ -20,8 +20,11 @@ import (
 // WeightStore abstracts where a layer's weights physically live.
 type WeightStore interface {
 	// Read returns the effective weight matrix as seen by the compute
-	// path. For a crossbar store this includes hard faults, quantization
-	// and read noise. Callers must not mutate the returned matrix.
+	// path. For a crossbar store this includes stuck-at faults,
+	// programming noise and the prune mask (pruned weights read zero);
+	// it includes no read noise. The matrix is owned by the store, which
+	// may return the same matrix, unchanged, from later calls until the
+	// store changes, so callers must not mutate it.
 	Read() *tensor.Dense
 	// ApplyDelta requests the in-place update W += delta. A hardware
 	// store may quantize the result, skip stuck cells and consume

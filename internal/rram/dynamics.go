@@ -79,6 +79,7 @@ func (cb *Crossbar) SetWriteFail(prob float64, rng *xrand.Stream) {
 // consumed) so campaigns can schedule it without perturbing any stream.
 // It returns the number of cells whose level changed.
 func (cb *Crossbar) Drift(factor float64) int {
+	cb.gen++
 	max := cb.MaxLevel()
 	changed := 0
 	for i := range cb.level {
@@ -202,6 +203,7 @@ func (cb *Crossbar) WriteVerified(r, c int, target float64, maxRetries int, tol 
 		k = fault.SA1
 	}
 	cb.kind[i] = k
+	cb.gen++
 	cb.stats.WriteGiveups++
 	if obs.MetricsEnabled() {
 		cWriteGiveups.Inc()

@@ -121,6 +121,10 @@ type Crossbar struct {
 	rng   *xrand.Stream
 	stats Stats
 
+	// gen is the mutation generation (Gen). A plain counter: every
+	// mutation and every read already runs on the crossbar's single owner.
+	gen uint64
+
 	// dyn holds the opt-in runtime fault dynamics (read disturb, write
 	// failures); nil — the default — disables them all and consumes no RNG.
 	// See dynamics.go. Deliberately excluded from Snapshot/Restore: chaos
@@ -173,6 +177,17 @@ func (cb *Crossbar) MaxLevel() float64 { return float64(cb.cfg.Levels - 1) }
 // Stats returns a copy of the write-traffic counters.
 func (cb *Crossbar) Stats() Stats { return cb.stats }
 
+// Gen returns the crossbar's mutation generation. It changes whenever a
+// write, a wear-out, a fault change, a write-verify give-up, a drift step
+// or a Restore may have changed any cell's effective level, and is
+// otherwise stable: two equal Gen values bracket a stretch in which every
+// EffectiveLevel read returns the same value, so a reader can cache
+// anything derived from cell state and revalidate it with one comparison
+// (mapping.CrossbarStore.Read does). Sense noise, read disturb and write
+// pulses eaten by the write-failure model never bump it — none of them
+// changes cell state.
+func (cb *Crossbar) Gen() uint64 { return cb.gen }
+
 func (cb *Crossbar) idx(r, c int) int { return r*cb.ColsN + c }
 
 // Fault returns the hard-fault state of cell (r, c).
@@ -180,7 +195,10 @@ func (cb *Crossbar) Fault(r, c int) fault.Kind { return cb.kind[cb.idx(r, c)] }
 
 // SetFault forces the fault state of cell (r, c) — used for fabrication
 // defect injection and by tests.
-func (cb *Crossbar) SetFault(r, c int, k fault.Kind) { cb.kind[cb.idx(r, c)] = k }
+func (cb *Crossbar) SetFault(r, c int, k fault.Kind) {
+	cb.kind[cb.idx(r, c)] = k
+	cb.gen++
+}
 
 // InjectFaults copies every fault in m onto the crossbar. The map must
 // match the crossbar dimensions.
@@ -188,6 +206,7 @@ func (cb *Crossbar) InjectFaults(m *fault.Map) {
 	if m.Rows != cb.RowsN || m.Cols != cb.ColsN {
 		panic(fmt.Sprintf("rram: fault map %dx%d on crossbar %dx%d", m.Rows, m.Cols, cb.RowsN, cb.ColsN))
 	}
+	cb.gen++
 	for i, k := range m.Kinds {
 		if k.IsFault() {
 			cb.kind[i] = k
@@ -267,6 +286,7 @@ func (cb *Crossbar) Write(r, c int, target float64) {
 	}
 	if cb.writes[i] > cb.budget[i] {
 		cb.kind[i] = cb.cfg.Endurance.WearKind(cb.rng)
+		cb.gen++
 		cb.stats.WearOuts++
 		if obs.MetricsEnabled() {
 			cWearOuts.Inc()
@@ -287,6 +307,7 @@ func (cb *Crossbar) Write(r, c int, target float64) {
 	// and device-to-device spread around it goes both ways. Clamping the
 	// noise would bias group-test sums at the floor.
 	cb.level[i] = target + cb.rng.Gaussian(0, cb.cfg.WriteStd)
+	cb.gen++
 }
 
 // WriteDelta programs cell (r, c) to its current programmed level plus

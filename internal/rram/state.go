@@ -79,5 +79,6 @@ func (cb *Crossbar) Restore(st *State) error {
 	copy(cb.writes, st.Writes)
 	copy(cb.budget, st.Budget)
 	cb.stats = st.Stats
+	cb.gen++
 	return nil
 }

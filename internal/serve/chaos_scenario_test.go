@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"rramft/internal/chaos"
@@ -81,27 +82,8 @@ func TestChaosScenarioGolden(t *testing.T) {
 		t.Error("repair never ran or never bumped the epoch")
 	}
 
-	var lines []json.RawMessage
-	sawEnd := false
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev struct {
-			Ev string `json:"ev"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad journal line %q: %v", sc.Text(), err)
-		}
-		if ev.Ev == "end" {
-			sawEnd = true
-			continue
-		}
-		lines = append(lines, json.RawMessage(append([]byte(nil), sc.Bytes()...)))
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !sawEnd {
+	lines, end := splitJournal(t, raw)
+	if end == nil {
 		t.Error("journal has no end event")
 	}
 	testkit.Golden(t, "testdata/golden/chaos_scenario_journal.json", struct {
@@ -109,9 +91,61 @@ func TestChaosScenarioGolden(t *testing.T) {
 	}{lines})
 }
 
+// splitJournal separates a journal into every line but the final "end"
+// counters line, and that line's counter deltas (nil when it is missing).
+func splitJournal(t *testing.T, raw []byte) (lines []json.RawMessage, end map[string]int64) {
+	t.Helper()
+	sc := bufio.NewScanner(bytes.NewReader(raw))
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var ev struct {
+			Ev       string           `json:"ev"`
+			Counters map[string]int64 `json:"counters"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad journal line %q: %v", sc.Text(), err)
+		}
+		if ev.Ev == "end" {
+			end = ev.Counters
+			if end == nil {
+				end = map[string]int64{}
+			}
+			continue
+		}
+		lines = append(lines, json.RawMessage(append([]byte(nil), sc.Bytes()...)))
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return lines, end
+}
+
+// seededCounter reports whether a counter's end-of-journal delta is a pure
+// function of the campaign's seed and schedule. The chaos, detection,
+// mapping and device counters count work done synchronously on the test's
+// goroutine. mapping.read_rebuilds is the exception: saturation junk is
+// served on the executor goroutine, and whether its forwards rebuild
+// depends on how they interleave with repair steps. The serve.* counters
+// depend on that interleaving too, and gauge deltas on which runs came
+// earlier in the process.
+func seededCounter(name string) bool {
+	if name == "mapping.read_rebuilds" {
+		return false
+	}
+	for _, p := range []string{"chaos.", "detect.", "mapping.", "rram."} {
+		if strings.HasPrefix(name, p) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestChaosScenarioReproducesByteForByte: identical seed and schedule
-// must reproduce the whole campaign journal byte-for-byte — the
-// reproducibility contract a chaos report rests on.
+// must reproduce the campaign journal byte-for-byte — the reproducibility
+// contract a chaos report rests on. As in TestChaosScenarioGolden, the
+// final "end" line is left out of the byte comparison (see seededCounter
+// for why its deltas may differ between two identical runs); its seeded
+// counters must still agree.
 func TestChaosScenarioReproducesByteForByte(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the scenario model twice")
@@ -119,7 +153,34 @@ func TestChaosScenarioReproducesByteForByte(t *testing.T) {
 	t.Setenv(par.EnvWorkers, "1")
 	a, _ := chaosGoldenRun(t)
 	b, _ := chaosGoldenRun(t)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("two identical campaign runs diverged: %d vs %d journal bytes", len(a), len(b))
+	la, ea := splitJournal(t, a)
+	lb, eb := splitJournal(t, b)
+	if len(la) != len(lb) {
+		t.Fatalf("two identical campaign runs diverged: %d vs %d journal lines", len(la), len(lb))
+	}
+	for i := range la {
+		if !bytes.Equal(la[i], lb[i]) {
+			t.Fatalf("two identical campaign runs diverged at journal line %d:\n%s\n%s", i+1, la[i], lb[i])
+		}
+	}
+	if ea == nil || eb == nil {
+		t.Fatal("a campaign journal has no end event")
+	}
+	seeded := 0
+	for name, v := range ea {
+		if seededCounter(name) {
+			seeded++
+			if eb[name] != v {
+				t.Errorf("end counter %s: %d vs %d in two identical runs", name, v, eb[name])
+			}
+		}
+	}
+	for name, v := range eb {
+		if _, ok := ea[name]; !ok && seededCounter(name) {
+			t.Errorf("end counter %s: absent vs %d in two identical runs", name, v)
+		}
+	}
+	if seeded == 0 {
+		t.Error("end line carries no seeded counter to compare")
 	}
 }

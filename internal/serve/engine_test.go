@@ -290,3 +290,39 @@ func TestRepairStepHoldObservedPerStep(t *testing.T) {
 		t.Error("repair pass recorded no lock hold time")
 	}
 }
+
+// TestReadCacheRebuildsOnlyOnMutation pins mapping.read_rebuilds on a live
+// engine: once warm, an engine without maintenance serves batch after
+// batch from every store's cached weights, and a fault burst costs exactly
+// one rebuild per store, on the next batch.
+func TestReadCacheRebuildsOnlyOnMutation(t *testing.T) {
+	obs.EnableMetrics()
+	rebuilds := obs.Default().Counter("mapping.read_rebuilds")
+	m := testModelRCS(9, 0.05, fault.Unlimited())
+	stores := int64(len(m.RCSBindings()))
+	e := NewEngine(m, testInSize, Config{MaxBatch: 1})
+	defer e.Close()
+
+	req := &Request{ID: "cache", X: randSample(xrand.New(7))}
+	serve := func(n int) int64 {
+		t.Helper()
+		before := rebuilds.Value()
+		for i := 0; i < n; i++ {
+			if r := e.Infer(req); r.Err != nil {
+				t.Fatalf("infer: %v", r.Err)
+			}
+		}
+		return rebuilds.Value() - before
+	}
+	serve(1) // warm-up: every store's cache is current afterwards
+	if got := serve(50); got != 0 {
+		t.Errorf("50 batches on an unchanged substrate rebuilt %d times, want 0", got)
+	}
+	e.InjectFaultBurst(0.1, 0.5, nil, xrand.New(8))
+	if got := serve(1); got != stores {
+		t.Errorf("first batch after a fault burst rebuilt %d times, want one per store (%d)", got, stores)
+	}
+	if got := serve(50); got != 0 {
+		t.Errorf("50 batches after the burst rebuilt %d more times, want 0", got)
+	}
+}

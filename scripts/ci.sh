@@ -34,11 +34,13 @@ go build ./...
 # stages are built from must carry a doc comment (these packages define
 # user-facing contracts — telemetry, serving API, the batched-MVM
 # equivalence rules — so undocumented API is a bug), and the README CLI
-# reference must match the binaries' own -help-md output.
+# reference must match the binaries' own -help-md output. nn and tensor
+# are hot-path packages too: the crossbar read cache relies on the
+# nn.WeightStore Read contract.
 for pkg in internal/obs internal/cliutil internal/repair internal/cluster \
            internal/rram internal/mapping internal/serve internal/perf \
            internal/chaos internal/remap internal/prune internal/fault \
-           internal/detect; do
+           internal/detect internal/nn internal/tensor; do
     undocumented=$(awk '
         /^\/\// { commented = 1; next }
         /^(func|type|var|const) [A-Z]/ || /^func \([^)]*\) [A-Z]/ {
