@@ -321,7 +321,12 @@ func serveStream(b backend, r io.Reader, w io.Writer) error {
 		}
 		req, err := serve.DecodeRequest(line, b.InSize())
 		if err != nil {
-			writeLine(serve.EncodeResponse(serve.Response{Err: err}))
+			resp := serve.Response{Err: err}
+			var re *serve.RequestError
+			if errors.As(err, &re) {
+				resp.ID = re.ID
+			}
+			writeLine(serve.EncodeResponse(resp))
 			continue
 		}
 		ch, err := b.Submit(req)

@@ -120,6 +120,13 @@ func TestServeStreamRoundTrip(t *testing.T) {
 			if r.Class != -1 {
 				t.Errorf("error response %q has class %d, want -1", ln, r.Class)
 			}
+			wantID := "" // the malformed line has no readable id
+			if strings.Contains(r.Error, "feature count") {
+				wantID = "short" // valid JSON: its id is echoed
+			}
+			if r.ID != wantID {
+				t.Errorf("error response %q has id %q, want %q", ln, r.ID, wantID)
+			}
 			continue
 		}
 		okN++

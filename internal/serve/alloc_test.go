@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
@@ -58,6 +60,80 @@ func TestInferBatchIntoAllocFree(t *testing.T) {
 	e.InferBatchInto(preds, x) // warm layer buffers
 	if n := testing.AllocsPerRun(200, func() { e.InferBatchInto(preds, x) }); n != 0 {
 		t.Fatalf("steady-state InferBatchInto allocates %.1f/op, want 0", n)
+	}
+}
+
+// gateInSize is the served model's feature count in rramft-serve and the
+// benchmark.
+const gateInSize = 256
+
+// gateRequestLine builds a request line the way the benchmark's wire client
+// does: an id, then json.Marshal of the feature vector.
+func gateRequestLine(t *testing.T) []byte {
+	rng := xrand.New(8)
+	x := make([]float64, gateInSize)
+	for i := range x {
+		x[i] = rng.Uniform(-1, 1)
+	}
+	payload, err := json.Marshal(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(append([]byte(`{"id":"n17","x":`), payload...), '}')
+}
+
+// encodeSink keeps the encode gate's result live.
+var encodeSink []byte
+
+// TestDecodeRequestAllocs gates the plain-line decoder: a line as clients
+// send it allocates only the Request, its X and its ID. A plain line sent
+// back to encoding/json would allocate several times that.
+func TestDecodeRequestAllocs(t *testing.T) {
+	obs.EnableMetrics()
+	line := gateRequestLine(t)
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := DecodeRequest(line, gateInSize); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+	}); n != 3 {
+		t.Fatalf("DecodeRequest of a plain line allocates %.1f/op, want 3", n)
+	}
+}
+
+// TestEncodeResponseAllocs gates the direct response encoder: one
+// allocation, with room left for the newline the stream writer appends.
+func TestEncodeResponseAllocs(t *testing.T) {
+	r := Response{ID: "n17", Class: 3, Epoch: 2, LatencyNs: 1_234_567}
+	if n := testing.AllocsPerRun(200, func() { encodeSink = EncodeResponse(r) }); n != 1 {
+		t.Fatalf("EncodeResponse of a plain response allocates %.1f/op, want 1", n)
+	}
+	if cap(encodeSink) == len(encodeSink) {
+		t.Fatal("EncodeResponse left no capacity for the trailing newline")
+	}
+}
+
+// TestDecodeFallbackCounter: serve.decode_fallbacks counts the lines that
+// leave the scanner for encoding/json, which still accepts them.
+func TestDecodeFallbackCounter(t *testing.T) {
+	obs.EnableMetrics()
+	line := gateRequestLine(t)
+	before := cDecodeFallbacks.Value()
+	if _, err := DecodeRequest(line, gateInSize); err != nil {
+		t.Fatalf("decode plain line: %v", err)
+	}
+	if d := cDecodeFallbacks.Value() - before; d != 0 {
+		t.Fatalf("plain line counted %d fallbacks, want 0", d)
+	}
+	folded := bytes.Replace(line, []byte(`"id"`), []byte(`"ID"`), 1) // encoding/json folds key case
+	req, err := DecodeRequest(folded, gateInSize)
+	if err != nil {
+		t.Fatalf("decode case-folded key: %v", err)
+	}
+	if req.ID != "n17" {
+		t.Fatalf("case-folded key decoded id %q, want n17", req.ID)
+	}
+	if d := cDecodeFallbacks.Value() - before; d != 1 {
+		t.Fatalf("case-folded key counted %d fallbacks, want 1", d)
 	}
 }
 

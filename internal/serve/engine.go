@@ -54,23 +54,24 @@ import (
 // batching behaviour, latency, and the degraded-mode window. Bumped only
 // when obs.MetricsEnabled().
 var (
-	cRequests     = obs.NewCounter("serve.requests")
-	cResponses    = obs.NewCounter("serve.responses")
-	cTimeouts     = obs.NewCounter("serve.timeouts")
-	cRejected     = obs.NewCounter("serve.rejected")
-	cDecodeErrors = obs.NewCounter("serve.decode_errors")
-	cBatches      = obs.NewCounter("serve.batches")
-	cDegradedResp = obs.NewCounter("serve.degraded_responses")
-	cRepairPasses = obs.NewCounter("serve.repair_passes")
-	cRepairSteps  = obs.NewCounter("serve.repair_steps")
-	cDrainRejects = obs.NewCounter("serve.drain_rejects")
-	gQueueDepth   = obs.NewGauge("serve.queue_depth")
-	gDraining     = obs.NewGauge("serve.draining")
-	gDegraded     = obs.NewGauge("serve.degraded")
-	gEpoch        = obs.NewGauge("serve.epoch")
-	hBatchSize    = obs.NewHistogram("serve.batch_size")
-	hLatencyNs    = obs.NewHistogram("serve.latency_ns")
-	hRepairHoldNs = obs.NewHistogram("serve.repair_step_hold_ns")
+	cRequests        = obs.NewCounter("serve.requests")
+	cResponses       = obs.NewCounter("serve.responses")
+	cTimeouts        = obs.NewCounter("serve.timeouts")
+	cRejected        = obs.NewCounter("serve.rejected")
+	cDecodeErrors    = obs.NewCounter("serve.decode_errors")
+	cDecodeFallbacks = obs.NewCounter("serve.decode_fallbacks")
+	cBatches         = obs.NewCounter("serve.batches")
+	cDegradedResp    = obs.NewCounter("serve.degraded_responses")
+	cRepairPasses    = obs.NewCounter("serve.repair_passes")
+	cRepairSteps     = obs.NewCounter("serve.repair_steps")
+	cDrainRejects    = obs.NewCounter("serve.drain_rejects")
+	gQueueDepth      = obs.NewGauge("serve.queue_depth")
+	gDraining        = obs.NewGauge("serve.draining")
+	gDegraded        = obs.NewGauge("serve.degraded")
+	gEpoch           = obs.NewGauge("serve.epoch")
+	hBatchSize       = obs.NewHistogram("serve.batch_size")
+	hLatencyNs       = obs.NewHistogram("serve.latency_ns")
+	hRepairHoldNs    = obs.NewHistogram("serve.repair_step_hold_ns")
 )
 
 // Submission errors. ErrOverloaded is the backpressure signal (bounded

@@ -79,6 +79,12 @@ fi
 go test ./...
 go test -race -short ./...
 
+# The benchmark is its own module, so the root `go test ./...` never enters
+# it. Its smoke test builds the real rramft-serve and runs every workload's
+# correctness checks (conservation, exactly-once ids and, on the wire,
+# protocol_replay), so an API change the benchmark depends on fails here.
+(cd benchmark && go vet ./... && go test ./...)
+
 # Bench smoke: a short hot-path suite run must produce a structurally
 # valid BENCH.json (all required ops, finite timings, resolvable baseline
 # references). This gates the suite's plumbing, not the numbers — the
