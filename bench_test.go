@@ -75,20 +75,6 @@ func benchCrossbar(b *testing.B, size int) *rram.Crossbar {
 	return cb
 }
 
-func BenchmarkCrossbarMVM256(b *testing.B) {
-	cb := benchCrossbar(b, 256)
-	in := make([]float64, 256)
-	rng := xrand.New(2)
-	for i := range in {
-		in[i] = rng.Uniform(-1, 1)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cb.MVM(in)
-	}
-}
-
 func BenchmarkDetectionPass256(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -245,32 +231,12 @@ func BenchmarkCrossbarWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkMVMInstrumented measures the telemetry-ON cost of the crossbar
-// MVM hot path, for comparison against BenchmarkCrossbarMVM256 (telemetry
-// off). Because obs.EnableMetrics is sticky for the process, this
-// benchmark is declared last in the file: earlier benchmarks in the same
-// -bench run measure the disabled path. The acceptance bar for the
-// disabled path is a ≤2% delta; the enabled path pays one counter
-// increment per MVM, invisible at the ~160µs scale of a 256² MVM.
-func BenchmarkMVMInstrumented(b *testing.B) {
-	obs.EnableMetrics()
-	cb := benchCrossbar(b, 256)
-	in := make([]float64, 256)
-	rng := xrand.New(2)
-	for i := range in {
-		in[i] = rng.Uniform(-1, 1)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cb.MVM(in)
-	}
-}
-
 // BenchmarkCrossbarWriteInstrumented is the telemetry-ON counterpart of
 // BenchmarkCrossbarWrite — the harshest case for the obs gate, since a
 // single write is ~11ns and the guarded counter increment is a measurable
-// fraction of it. Also declared after the disabled-path benchmarks.
+// fraction of it. Because obs.EnableMetrics is sticky for the process,
+// this benchmark is declared last in the file: earlier benchmarks in the
+// same -bench run measure the disabled path.
 func BenchmarkCrossbarWriteInstrumented(b *testing.B) {
 	obs.EnableMetrics()
 	cb := benchCrossbar(b, 64)

@@ -143,11 +143,11 @@ func TestDisturbWindowOpensAndCloses(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		cb.Write(0, c, 3)
 	}
-	clean := cb.MVM([]float64{1, 0})
+	clean := cb.SenseColumns([]int{0})
 	e := NewEngine(MustParse("disturb@5ms:prob=1,mag=0.5,for=10ms"), target, 11, clk)
 	ms := time.Millisecond.Nanoseconds()
 	e.RunUntil(5 * ms)
-	during := cb.MVM([]float64{1, 0})
+	during := cb.SenseColumns([]int{0})
 	changed := 0
 	for c := range clean {
 		if during[c] != clean[c] {
@@ -158,7 +158,7 @@ func TestDisturbWindowOpensAndCloses(t *testing.T) {
 		t.Errorf("disturb window: %d/4 ports corrupted, want 4", changed)
 	}
 	e.RunUntil(15 * ms)
-	after := cb.MVM([]float64{1, 0})
+	after := cb.SenseColumns([]int{0})
 	for c := range clean {
 		if after[c] != clean[c] {
 			t.Fatalf("port %d still disturbed after the window closed", c)

@@ -92,29 +92,15 @@ func ScenarioDispatcher(base serve.ScenarioConfig, ds *dataset.Dataset, image *I
 	})
 }
 
-// RunFailoverScenario trains the scenario model once, replicates it, and
-// walks the cluster through burst → drain → repair → readmit → rebuild
-// with load flowing at every step. Fully deterministic for a fixed config
-// when Base.Serve.Clock is a fake clock (single closed-loop client, no
+// FailoverPhases replicates an already-trained weight image and walks the
+// cluster through burst → drain → repair → readmit → rebuild with load
+// flowing at every step. Fully deterministic for a fixed config when
+// Base.Serve.Clock is a fake clock (single closed-loop client, no
 // timeouts, MaxBatch 1). Each phase is journaled as a "cluster_phase"
-// point when a journal is active.
-func RunFailoverScenario(cfg ScenarioConfig) (*ScenarioResult, error) {
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 2
-	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = 40
-	}
-	cfg.Base.Serve.MaxBatch = 1
-
-	m, ds := serve.TrainScenarioModel(cfg.Base)
-	return FailoverPhases(CaptureImage(m), ds, cfg)
-}
-
-// FailoverPhases runs the failover scenario's serving phases on an
-// already-trained weight image — the expensive, journal-noisy training is
-// split out (exactly like serve.ServeRepairPhases) so the golden test can
-// start its journal after training and pin only the cluster phases.
+// point when a journal is active. Training is left to the caller
+// (serve.TrainScenarioModel, then CaptureImage), exactly like
+// serve.ServeRepairPhases, so the golden test can start its journal after
+// training and pin only the cluster phases.
 func FailoverPhases(image *Image, ds *dataset.Dataset, cfg ScenarioConfig) (*ScenarioResult, error) {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 2

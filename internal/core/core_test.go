@@ -7,7 +7,6 @@ import (
 	"rramft/internal/detect"
 	"rramft/internal/fault"
 	"rramft/internal/mapping"
-	"rramft/internal/nn"
 	"rramft/internal/remap"
 	"rramft/internal/rram"
 	"rramft/internal/tensor"
@@ -295,19 +294,6 @@ func TestHardwareStatsAggregation(t *testing.T) {
 	}
 	if f := m.FaultFraction(); f < 0.05 || f > 0.15 {
 		t.Errorf("fault fraction = %v, want ~0.1", f)
-	}
-}
-
-func TestLRScheduleOverridesDecay(t *testing.T) {
-	ds := tinyData()
-	m := softwareMLP(ds, 20)
-	cfg := quickCfg(20, 200)
-	cfg.LRDecay = 0.5
-	cfg.DecayEvery = 50
-	cfg.Schedule = nn.CosineLR{Base: 0.05, Floor: 0.001, Horizon: 200}
-	res := Train(m, ds, cfg)
-	if res.PeakAcc <= 0.2 {
-		t.Errorf("cosine-scheduled training failed: %.3f", res.PeakAcc)
 	}
 }
 

@@ -38,9 +38,6 @@ type TrainConfig struct {
 	Momentum   float64
 	LRDecay    float64 // multiplicative factor applied every DecayEvery iterations (0/1 disables)
 	DecayEvery int
-	// Schedule, when non-nil, overrides LR/LRDecay with an explicit
-	// learning-rate schedule evaluated every iteration.
-	Schedule nn.LRSchedule
 
 	// Threshold enables the paper's threshold training (nil = original
 	// training, every update written).
@@ -244,9 +241,7 @@ func (s *session) run() *RunResult {
 			cIters.Inc()
 		}
 
-		if cfg.Schedule != nil {
-			s.opt.LR = cfg.Schedule.LR(it)
-		} else if cfg.LRDecay > 0 && cfg.LRDecay != 1 && cfg.DecayEvery > 0 && it%cfg.DecayEvery == 0 {
+		if cfg.LRDecay > 0 && cfg.LRDecay != 1 && cfg.DecayEvery > 0 && it%cfg.DecayEvery == 0 {
 			s.opt.LR *= cfg.LRDecay
 		}
 

@@ -1,8 +1,6 @@
 package detect
 
 import (
-	"fmt"
-
 	"rramft/internal/fault"
 	"rramft/internal/rram"
 )
@@ -76,31 +74,3 @@ func MarchTestTime(n int) int { return MarchTestTimeRC(n, n) }
 // March cost is per cell, so non-square arrays (conv-kernel stores, 1×n
 // edge cases) scale with rows·cols, not with the square of either edge.
 func MarchTestTimeRC(rows, cols int) int { return 5 * rows * cols }
-
-// CompareWithMarch summarizes the on-line method against the March baseline
-// on the same crossbar state (the crossbar is cloned logically by running
-// March after the quiescent-voltage test and restoring in both).
-type Comparison struct {
-	QuiescentTime  int
-	MarchTime      int
-	SpeedupFactor  float64
-	QuiescentScore string
-}
-
-// Compare runs both methods on equivalent crossbars and reports the
-// test-time ratio. The caller provides two identically-prepared crossbars
-// because each test perturbs cell state.
-func Compare(quiescentCB, marchCB *rram.Crossbar, cfg Config) Comparison {
-	q := Run(quiescentCB, cfg)
-	qc := Score(q.Pred, quiescentCB.FaultMap())
-	m := MarchTest(marchCB)
-	cmp := Comparison{
-		QuiescentTime:  q.TestTime,
-		MarchTime:      m.Cycles,
-		QuiescentScore: fmt.Sprintf("P=%.2f R=%.2f", qc.Precision(), qc.Recall()),
-	}
-	if q.TestTime > 0 {
-		cmp.SpeedupFactor = float64(m.Cycles) / float64(q.TestTime)
-	}
-	return cmp
-}

@@ -86,14 +86,12 @@ func TestCompareQuiescentVsMarch(t *testing.T) {
 		cb.InjectFaults(fm)
 		return cb
 	}
-	cmp := Compare(mk(), mk(), Config{TestSize: 8, Divisor: 16, Delta: 1})
-	if cmp.MarchTime != MarchTestTime(64) {
-		t.Errorf("march time = %d", cmp.MarchTime)
+	q := Run(mk(), Config{TestSize: 8, Divisor: 16, Delta: 1})
+	m := MarchTest(mk())
+	if m.Cycles != MarchTestTime(64) {
+		t.Errorf("march time = %d", m.Cycles)
 	}
-	if cmp.SpeedupFactor < 100 {
-		t.Errorf("quiescent method should be >100x faster at 64x64, got %.0fx", cmp.SpeedupFactor)
-	}
-	if cmp.QuiescentScore == "" {
-		t.Error("missing quiescent score")
+	if speedup := float64(m.Cycles) / float64(q.TestTime); speedup < 100 {
+		t.Errorf("quiescent method should be >100x faster at 64x64, got %.0fx", speedup)
 	}
 }

@@ -53,7 +53,7 @@ func ServingUnderFaults(scale Scale, seed int64) *Report {
 	// Batching baseline: the same healthy model behind a MaxBatch=1 engine
 	// (every request is its own forward pass under the substrate lock).
 	// Contrasted below against the batched healthy phase — the serving-side
-	// win of the batched MVM path, measured end to end. Engines own the
+	// win of one B-row matmul per layer, measured end to end. Engines own the
 	// substrate, so the per-sample engine is closed before the real one
 	// starts.
 	perCfg := cfg.Serve

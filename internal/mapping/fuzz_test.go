@@ -95,14 +95,4 @@ func TestRestoreRejectsNilAndNonFiniteFields(t *testing.T) {
 	if err := fuzzStore(6).Restore(nil); err == nil {
 		t.Fatal("Restore accepted a nil snapshot")
 	}
-	tiled := NewTiledStore("tz", tensor.NewDense(4, 4), 2, 2,
-		StoreConfig{Crossbar: rram.Config{Levels: 8, Endurance: fault.Unlimited()}}, xrand.New(1))
-	tst := tiled.Snapshot()
-	tst.Tiles[1] = nil
-	if err := tiled.Restore(tst); err == nil {
-		t.Fatal("tiled Restore accepted a nil tile snapshot")
-	}
-	if err := tiled.Restore(nil); err == nil {
-		t.Fatal("tiled Restore accepted a nil snapshot")
-	}
 }

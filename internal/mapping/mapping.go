@@ -6,8 +6,7 @@
 // conductance level; the sign lives in the CMOS periphery (a sign-separated
 // input-phase design). This preserves the identity the paper's re-mapping
 // step relies on: a zero (pruned) weight is a zero-conductance cell, so a
-// stuck-at-0 cell can be *reused* by a pruned weight. A differential-pair
-// encoding is provided by DiffPairStore for comparison.
+// stuck-at-0 cell can be *reused* by a pruned weight.
 //
 // There is deliberately no off-chip shadow copy of the weights: on-line
 // training reads the array and writes increments back to it, exactly as the
@@ -23,12 +22,9 @@
 // neurons by installing new permutations and re-programming only the cells
 // whose contents actually change.
 //
-// All three stores expose batched analog readout (MVMBatch/MVMBatchInto)
-// next to the per-sample MVM: a B-row drive matrix crosses the array(s)
-// in one pass, with per-tile partials reduced in fixed row-major tile
-// order and the diff-pair arrays combined pos-then-neg — bit-identical to
-// looping MVM over the rows (DESIGN.md §7). Stores own their batch
-// scratch, so steady-state batched readout does not allocate.
+// The compute path reads the whole effective weight matrix (Read, cached
+// behind the crossbar's mutation generation) and multiplies it in
+// software; see DESIGN.md §7.
 package mapping
 
 import (

@@ -18,7 +18,6 @@ func noiselessStoreConfig() StoreConfig {
 }
 
 var _ nn.WeightStore = (*CrossbarStore)(nil)
-var _ nn.WeightStore = (*DiffPairStore)(nil)
 
 func TestStoreRoundTripNoiseless(t *testing.T) {
 	w := tensor.FromSlice(2, 3, []float64{0.5, -0.25, 0, 1.0, -1.0, 0.75})
@@ -214,29 +213,6 @@ func TestFaultByLogicalViews(t *testing.T) {
 	// Logical col 0 is physical col 1 → fault at physical row 0.
 	if !byCols.At(0, 0).IsFault() {
 		t.Error("FaultByLogicalCols wrong")
-	}
-}
-
-func TestDiffPairRoundTrip(t *testing.T) {
-	w := tensor.FromSlice(1, 3, []float64{0.5, -0.5, 0})
-	s := NewDiffPairStore("fc", w, noiselessStoreConfig(), xrand.New(12))
-	if !tensor.Equal(s.Read(), w, 1e-9) {
-		t.Errorf("Read = %v", s.Read().Data)
-	}
-	s.ApplyDelta(tensor.FromSlice(1, 3, []float64{-1.0, 0, 0}))
-	if got := s.Read().At(0, 0); math.Abs(got-(-0.5)) > 1e-9 {
-		t.Errorf("after delta = %v, want -0.5", got)
-	}
-}
-
-func TestDiffPairSA1OnPrunedIsVisible(t *testing.T) {
-	// The encoding difference that motivates magnitude+sign: in a diff
-	// pair, SA1 on either array corrupts even a zero weight.
-	w := tensor.FromSlice(1, 1, []float64{0})
-	s := NewDiffPairStore("fc", w, noiselessStoreConfig(), xrand.New(13))
-	s.Negative().SetFault(0, 0, fault.SA1)
-	if got := s.Read().At(0, 0); got >= 0 {
-		t.Errorf("SA1 on negative array should push weight negative, got %v", got)
 	}
 }
 

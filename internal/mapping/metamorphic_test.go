@@ -56,8 +56,8 @@ func TestRemapPermutationsPreserveLogicalWeights(t *testing.T) {
 			}
 		}
 
-		// Forward-path view: the MVM the layer computes from the logical
-		// weights is unchanged too (same matrix, bit for bit).
+		// Forward-path view: the matmul the layer computes from the
+		// logical weights is unchanged too (same matrix, bit for bit).
 		x := tensor.NewDense(1, rows)
 		for i := range x.Data {
 			x.Data[i] = g.FloatRange(-1, 1)
@@ -67,7 +67,7 @@ func TestRemapPermutationsPreserveLogicalWeights(t *testing.T) {
 		y1 := tensor.NewDense(1, cols)
 		tensor.MatMul(y1, x, s.Read())
 		if !tensor.Equal(y0, y1, 0) {
-			return fmt.Errorf("MVM result changed under re-mapping")
+			return fmt.Errorf("matmul result changed under re-mapping")
 		}
 		return nil
 	})

@@ -16,18 +16,16 @@ import (
 
 // Differential oracle: the same model and data trained through the pure
 // software float path (nn.MatrixStore) and through the RRAM substrate
-// (CrossbarStore or TiledStore) must produce bit-identical forward,
-// backward and update results when the substrate's imperfections are all
-// disabled.
+// (CrossbarStore) must produce bit-identical forward, backward and update
+// results when the substrate's imperfections are all disabled.
 //
 // The construction that makes exactness possible: with WMax = Levels-1 the
 // level scale is exactly 1.0, so weight→level conversion multiplies and
 // divides by 1.0 (exact); with WriteStd = 0 the programming noise draw is
-// Gaussian(0,0) = ±0.0 (exact); with ReadNoiseStd = 0 sensing adds
-// nothing; with no faults and unlimited endurance every cell behaves
-// ideally. Any deviation under those settings is a genuine fidelity bug in
-// mapping/rram, not float fuzz — which is why the comparison tolerance is
-// exactly zero.
+// Gaussian(0,0) = ±0.0 (exact); with no faults and unlimited endurance
+// every cell behaves ideally. Any deviation under those settings is a
+// genuine fidelity bug in mapping/rram, not float fuzz — which is why the
+// comparison tolerance is exactly zero.
 func TestDifferentialOracleCrossbarMatchesSoftware(t *testing.T) {
 	// Register cleanup of the worker-count env var; trials vary it below.
 	t.Setenv(par.EnvWorkers, "")
@@ -42,9 +40,8 @@ func TestDifferentialOracleCrossbarMatchesSoftware(t *testing.T) {
 		workers := g.OneOf(1, 2, 3, 8)
 		lr := g.FloatRange(0.01, 0.2)
 		momentum := float64(g.OneOf(0, 9)) / 10
-		tiled := g.Bool(0.5)
-		g.Logf("net %d-%d-%d batch=%d iters=%d levels=%d workers=%d lr=%g momentum=%g tiled=%v",
-			in, hid, out, batch, iters, levels, workers, lr, momentum, tiled)
+		g.Logf("net %d-%d-%d batch=%d iters=%d levels=%d workers=%d lr=%g momentum=%g",
+			in, hid, out, batch, iters, levels, workers, lr, momentum)
 		os.Setenv(par.EnvWorkers, fmt.Sprint(workers))
 
 		// Ideal substrate config: see the exactness argument above.
@@ -67,21 +64,10 @@ func TestDifferentialOracleCrossbarMatchesSoftware(t *testing.T) {
 			nn.NewReLU("act"),
 			nn.NewDense("l2", nn.NewMatrixStore(w2.Clone())),
 		)
-		var s1, s2 nn.WeightStore
-		if tiled {
-			tr1, tc1 := g.IntRange(1, in), g.IntRange(1, hid)
-			tr2, tc2 := g.IntRange(1, hid), g.IntRange(1, out)
-			g.Logf("tiles l1=%dx%d l2=%dx%d", tr1, tc1, tr2, tc2)
-			s1 = NewTiledStore("l1", w1.Clone(), tr1, tc1, cfg, g.Stream("cb1"))
-			s2 = NewTiledStore("l2", w2.Clone(), tr2, tc2, cfg, g.Stream("cb2"))
-		} else {
-			s1 = NewCrossbarStore("l1", w1.Clone(), cfg, g.Stream("cb1"))
-			s2 = NewCrossbarStore("l2", w2.Clone(), cfg, g.Stream("cb2"))
-		}
 		hardware := nn.NewNetwork(
-			nn.NewDense("l1", s1),
+			nn.NewDense("l1", NewCrossbarStore("l1", w1.Clone(), cfg, g.Stream("cb1"))),
 			nn.NewReLU("act"),
-			nn.NewDense("l2", s2),
+			nn.NewDense("l2", NewCrossbarStore("l2", w2.Clone(), cfg, g.Stream("cb2"))),
 		)
 
 		if err := equalNets(software, hardware, "initial programming"); err != nil {

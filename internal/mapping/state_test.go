@@ -184,107 +184,26 @@ func TestStoreRestoreValidation(t *testing.T) {
 	if err := freshStoreLike(1).Restore(st); err == nil {
 		t.Error("Restore accepted truncated permutation registers")
 	}
-}
 
-// TestTiledStoreSnapshotRoundTrip checks the tiled store's per-tile
-// snapshot composes: restore onto a fresh grid, then training and
-// detection continue identically tile by tile.
-func TestTiledStoreSnapshotRoundTrip(t *testing.T) {
-	build := func(seed int64) *TiledStore {
-		rng := xrand.New(seed)
-		w := tensor.NewDense(30, 22)
-		for i := range w.Data {
-			w.Data[i] = rng.Uniform(-1, 1)
+	// An estimate kind outside None/SA0/SA1 and a corrupt crossbar cell
+	// are both rejected before the receiver changes.
+	for _, tc := range []struct {
+		name    string
+		corrupt func(st *StoreState)
+	}{
+		{"estimate kind", func(st *StoreState) { st.Est.Kinds[3] = 7 }},
+		{"crossbar cell kind", func(st *StoreState) { st.Crossbar.Kind[3] = 7 }},
+	} {
+		st = a.Snapshot()
+		tc.corrupt(st)
+		recv := freshStoreLike(1)
+		if err := recv.Restore(st); err == nil {
+			t.Errorf("Restore accepted a snapshot with a corrupt %s", tc.name)
+			continue
 		}
-		cfg := StoreConfig{Crossbar: rram.Config{Levels: 8, WriteStd: 0.05,
-			Endurance: fault.EnduranceModel{Mean: 150, Std: 50, WearSA0Prob: 0.5}}}
-		return NewTiledStore("big", w, 16, 16, cfg, rng.Split("tiles"))
-	}
-	a := build(1)
-	fm := fault.NewMap(30, 22)
-	fault.Uniform{}.Inject(fm, 0.1, 0.5, xrand.New(2))
-	a.InjectFaults(fm)
-	delta := tensor.NewDense(30, 22)
-	drng := xrand.New(3)
-	for k := 0; k < 50; k++ {
-		for i := range delta.Data {
-			delta.Data[i] = drng.Gaussian(0, 0.02)
+		sameDense(t, tc.name+" rejection: weights", freshStoreLike(1).Read(), recv.Read())
+		if recv.EstimatedFaults() != nil {
+			t.Errorf("rejected %s snapshot installed a fault estimate", tc.name)
 		}
-		a.ApplyDelta(delta)
-	}
-
-	b := build(99)
-	if err := b.Restore(a.Snapshot()); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	sameDense(t, "tiled weights", a.Read().Clone(), b.Read().Clone())
-
-	da, db := xrand.New(4), xrand.New(4)
-	for k := 0; k < 30; k++ {
-		for i := range delta.Data {
-			delta.Data[i] = da.Gaussian(0, 0.02)
-		}
-		a.ApplyDelta(delta)
-		for i := range delta.Data {
-			delta.Data[i] = db.Gaussian(0, 0.02)
-		}
-		b.ApplyDelta(delta)
-	}
-	sameDense(t, "tiled weights after continuation", a.Read().Clone(), b.Read().Clone())
-	fa, fb := a.FaultMap(), b.FaultMap()
-	for i := range fa.Kinds {
-		if fa.Kinds[i] != fb.Kinds[i] {
-			t.Fatal("tiled fault state diverged after restore")
-		}
-	}
-
-	st := a.Snapshot()
-	st.Tiles = st.Tiles[:1]
-	if err := b.Restore(st); err == nil {
-		t.Error("tiled Restore accepted a snapshot with missing tiles")
-	}
-}
-
-// TestDiffPairSnapshotRoundTrip checks the differential-pair encoding's
-// snapshot: both arrays plus the controller's target weights.
-func TestDiffPairSnapshotRoundTrip(t *testing.T) {
-	build := func(seed int64) *DiffPairStore {
-		rng := xrand.New(seed)
-		w := tensor.NewDense(12, 10)
-		for i := range w.Data {
-			w.Data[i] = rng.Uniform(-1, 1)
-		}
-		return NewDiffPairStore("dp", w, DefaultStoreConfig(), rng.Split("s"))
-	}
-	a := build(1)
-	delta := tensor.NewDense(12, 10)
-	drng := xrand.New(2)
-	for k := 0; k < 20; k++ {
-		for i := range delta.Data {
-			delta.Data[i] = drng.Gaussian(0, 0.05)
-		}
-		a.ApplyDelta(delta)
-	}
-
-	b := build(50)
-	if err := b.Restore(a.Snapshot()); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	sameDense(t, "diffpair weights", a.Read().Clone(), b.Read().Clone())
-
-	da, db := xrand.New(3), xrand.New(3)
-	for k := 0; k < 20; k++ {
-		for i := range delta.Data {
-			delta.Data[i] = da.Gaussian(0, 0.05)
-		}
-		a.ApplyDelta(delta)
-		for i := range delta.Data {
-			delta.Data[i] = db.Gaussian(0, 0.05)
-		}
-		b.ApplyDelta(delta)
-	}
-	sameDense(t, "diffpair weights after continuation", a.Read().Clone(), b.Read().Clone())
-	if a.Positive().Stats() != b.Positive().Stats() || a.Negative().Stats() != b.Negative().Stats() {
-		t.Fatal("diffpair crossbar stats diverged after restore")
 	}
 }

@@ -49,44 +49,6 @@ func (l *ReLU) Backward(dout *tensor.Dense) *tensor.Dense {
 	return l.dx
 }
 
-// Sigmoid is the logistic activation, y = 1/(1+e^{-x}).
-type Sigmoid struct {
-	name string
-	y    *tensor.Dense
-	dx   *tensor.Dense
-}
-
-// NewSigmoid returns a sigmoid activation layer.
-func NewSigmoid(name string) *Sigmoid { return &Sigmoid{name: name} }
-
-// Name returns the layer name.
-func (l *Sigmoid) Name() string { return l.name }
-
-// Params returns nil; sigmoid has no parameters.
-func (l *Sigmoid) Params() []*Param { return nil }
-
-// OutSize is the identity.
-func (l *Sigmoid) OutSize(in int) int { return in }
-
-// Forward applies the logistic function element-wise.
-func (l *Sigmoid) Forward(x *tensor.Dense) *tensor.Dense {
-	l.y = tensor.EnsureShape(l.y, x.Rows, x.Cols)
-	for i, v := range x.Data {
-		l.y.Data[i] = 1 / (1 + math.Exp(-v))
-	}
-	return l.y
-}
-
-// Backward multiplies by y(1-y).
-func (l *Sigmoid) Backward(dout *tensor.Dense) *tensor.Dense {
-	l.dx = tensor.EnsureShape(l.dx, dout.Rows, dout.Cols)
-	for i, g := range dout.Data {
-		y := l.y.Data[i]
-		l.dx.Data[i] = g * y * (1 - y)
-	}
-	return l.dx
-}
-
 // Tanh is the hyperbolic-tangent activation.
 type Tanh struct {
 	name string

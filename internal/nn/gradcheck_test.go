@@ -88,20 +88,6 @@ func TestDenseReLUGradients(t *testing.T) {
 	checkNetGradients(t, net, x, []int{3, 0, 2}, 2e-4)
 }
 
-func TestSigmoidGradients(t *testing.T) {
-	rng := xrand.New(102)
-	net := NewNetwork(
-		NewDenseHe("fc1", 5, 6, rng),
-		NewSigmoid("s1"),
-		NewDenseHe("fc2", 6, 2, rng),
-	)
-	x := tensor.NewDense(2, 5)
-	for i := range x.Data {
-		x.Data[i] = rng.Uniform(-1, 1)
-	}
-	checkNetGradients(t, net, x, []int{1, 0}, 1e-4)
-}
-
 func TestConvGradients(t *testing.T) {
 	rng := xrand.New(103)
 	spec := NewConvSpec(2, 4, 4, 3, 3, 3, 1, 1)

@@ -16,15 +16,6 @@ func HeInit(w *tensor.Dense, fanIn int, rng *xrand.Stream) {
 	}
 }
 
-// XavierInit fills w with Glorot-uniform initialization:
-// U(-sqrt(6/(fanIn+fanOut)), +sqrt(6/(fanIn+fanOut))).
-func XavierInit(w *tensor.Dense, fanIn, fanOut int, rng *xrand.Stream) {
-	lim := math.Sqrt(6 / float64(fanIn+fanOut))
-	for i := range w.Data {
-		w.Data[i] = rng.Uniform(-lim, lim)
-	}
-}
-
 // NewDenseHe builds a software-backed fully-connected layer with He init.
 func NewDenseHe(name string, in, out int, rng *xrand.Stream) *DenseLayer {
 	w := tensor.NewDense(in, out)

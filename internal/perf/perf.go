@@ -1,17 +1,16 @@
 // Package perf is the reproducible performance baseline for the hot
-// paths: a self-contained benchmark suite (crossbar MVM, crossbar-backed
-// network forward, end-to-end serving) whose result is a machine-readable
-// BENCH.json document. cmd/rramft-bench runs the suite with -bench-json;
-// scripts/ci.sh smoke-tests it and PERFORMANCE.md documents how to read
-// the numbers.
+// paths: a self-contained benchmark suite (the dense matmul reference,
+// crossbar-backed network forward, end-to-end serving) whose result is a
+// machine-readable BENCH.json document. cmd/rramft-bench runs the suite
+// with -bench-json; scripts/ci.sh smoke-tests it, verifies the committed
+// BENCH.json, and PERFORMANCE.md documents how to read the numbers.
 //
 // Every batched operation is reported next to its per-sample baseline with
-// an explicit speedup ratio, so a regression in the batching win (the
-// point of the batched kernels) is visible as a number, not a vibe. Both
-// sides of a pair measure the same unit of work: micro-kernel ops are one
-// full micro-batch of B samples (B per-sample calls vs one batched call);
-// serving ops are one answered request (so the latency percentiles mean
-// what a client would see).
+// an explicit speedup ratio, so a regression in the batching win is
+// visible as a number, not a vibe. Both sides of a pair measure the same
+// unit of work: forward ops are one full micro-batch of B samples (B
+// per-sample calls vs one batched call); serving ops are one answered
+// request (so the latency percentiles mean what a client would see).
 package perf
 
 import (
@@ -25,13 +24,11 @@ import (
 // entry fields change incompatibly.
 const Schema = "rramft-bench/v1"
 
-// RequiredOps are the op names a complete suite run must contain —
-// Verify enforces them, so a truncated or hand-edited BENCH.json fails
-// the CI smoke gate.
+// RequiredOps is exactly the set of op names a suite run produces —
+// Verify rejects a document missing one or listing any other, so a
+// truncated, stale or hand-edited BENCH.json fails CI.
 var RequiredOps = []string{
 	"tensor.matmul/serial",
-	"rram.mvm/per_sample",
-	"rram.mvm/batched",
 	"nn.forward/per_sample",
 	"nn.forward/batched",
 	"serve.infer/per_sample",
@@ -44,7 +41,7 @@ var RequiredOps = []string{
 // wins). Serving entries additionally report latency percentiles;
 // micro-kernel entries report allocation behaviour instead.
 type Entry struct {
-	// Op names the operation and variant, e.g. "rram.mvm/batched".
+	// Op names the operation and variant, e.g. "nn.forward/batched".
 	Op string `json:"op"`
 	// Config is a human-readable shape summary, e.g. "256x256,B=8".
 	Config string `json:"config"`
@@ -119,9 +116,10 @@ func Load(path string) (*Doc, error) {
 }
 
 // Verify checks that a document is a structurally complete suite result:
-// right schema, every required op present exactly once, finite positive
-// timings, and every baseline reference resolvable with a sane speedup.
-// The CI bench smoke runs a short suite and gates on Verify.
+// right schema, every required op present exactly once and no other op,
+// finite positive timings, and every baseline reference resolvable with a
+// sane speedup. CI gates on Verify for both a fresh short suite run and
+// the committed BENCH.json.
 func Verify(d *Doc) error {
 	if d.Schema != Schema {
 		return fmt.Errorf("perf: schema %q, want %q", d.Schema, Schema)
@@ -129,11 +127,18 @@ func Verify(d *Doc) error {
 	if len(d.Entries) == 0 {
 		return fmt.Errorf("perf: no entries")
 	}
+	required := make(map[string]bool, len(RequiredOps))
+	for _, op := range RequiredOps {
+		required[op] = true
+	}
 	seen := make(map[string]bool, len(d.Entries))
 	for i := range d.Entries {
 		e := &d.Entries[i]
 		if e.Op == "" {
 			return fmt.Errorf("perf: entry %d has no op", i)
+		}
+		if !required[e.Op] {
+			return fmt.Errorf("perf: op %q is not one the suite runs", e.Op)
 		}
 		if seen[e.Op] {
 			return fmt.Errorf("perf: duplicate op %q", e.Op)

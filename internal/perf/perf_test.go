@@ -15,7 +15,7 @@ func TestRunProducesValidDoc(t *testing.T) {
 	if err := Verify(doc); err != nil {
 		t.Fatalf("Verify on fresh suite run: %v", err)
 	}
-	for _, op := range []string{"rram.mvm/batched", "nn.forward/batched", "serve.infer/batched"} {
+	for _, op := range []string{"nn.forward/batched", "serve.infer/batched"} {
 		e := doc.Find(op)
 		if e == nil {
 			t.Fatalf("missing %s", op)
@@ -56,7 +56,7 @@ func validDoc() *Doc {
 
 // TestVerifyRejects enumerates the malformed documents Verify must refuse:
 // wrong schema, empty, duplicate ops, non-finite timings, dangling
-// baselines and missing required ops.
+// baselines, missing required ops and ops the suite does not run.
 func TestVerifyRejects(t *testing.T) {
 	if err := Verify(validDoc()); err != nil {
 		t.Fatalf("control document rejected: %v", err)
@@ -74,6 +74,9 @@ func TestVerifyRejects(t *testing.T) {
 		{"dangling-baseline", func(d *Doc) { d.Entries[1].Baseline = "nope"; d.Entries[1].Speedup = 2 }},
 		{"zero-speedup", func(d *Doc) { d.Entries[1].Baseline = d.Entries[0].Op }},
 		{"missing-required", func(d *Doc) { d.Entries = d.Entries[1:] }},
+		{"unknown-op", func(d *Doc) {
+			d.Entries = append(d.Entries, Entry{Op: "mapping.tiled/batched", Config: "c", NsPerOp: 100})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

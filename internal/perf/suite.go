@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"rramft/internal/core"
-	"rramft/internal/fault"
 	"rramft/internal/par"
-	"rramft/internal/rram"
 	"rramft/internal/serve"
 	"rramft/internal/tensor"
 	"rramft/internal/xrand"
@@ -24,7 +22,7 @@ import (
 // queue, batcher and lock round-trips — the whole win on a single-core
 // machine, where column-parallelism buys nothing.
 const (
-	mvmDim    = 256
+	matDim    = 256
 	batchB    = 8
 	mlpIn     = 256
 	mlpHidden = 128
@@ -93,7 +91,6 @@ func Run(opts Options) *Doc {
 		BenchTime: opts.BenchTime.String(),
 	}
 	doc.Entries = append(doc.Entries, benchMatMul(opts.Seed))
-	doc.Entries = append(doc.Entries, benchMVM(opts.Seed)...)
 	doc.Entries = append(doc.Entries, benchForward(opts.Seed)...)
 	doc.Entries = append(doc.Entries, benchServe(opts.Seed, opts.BenchTime)...)
 	return doc
@@ -111,9 +108,9 @@ func randFill(data []float64, rng *xrand.Stream) {
 // worker pool says otherwise).
 func benchMatMul(seed int64) Entry {
 	rng := xrand.Derive(seed, "perf/matmul")
-	a := tensor.NewDense(batchB, mvmDim)
-	b := tensor.NewDense(mvmDim, mvmDim)
-	dst := tensor.NewDense(batchB, mvmDim)
+	a := tensor.NewDense(batchB, matDim)
+	b := tensor.NewDense(matDim, matDim)
+	dst := tensor.NewDense(batchB, matDim)
 	randFill(a.Data, rng)
 	randFill(b.Data, rng)
 	r := testing.Benchmark(func(bb *testing.B) {
@@ -123,47 +120,6 @@ func benchMatMul(seed int64) Entry {
 		}
 	})
 	return entry("tensor.matmul/serial", "8x256 * 256x256", r)
-}
-
-// benchMVM contrasts B per-sample crossbar MVMs against one batched MVM on
-// identical state. The batched kernel resolves each row's effective levels
-// (fault masking) once for all B drives — that is the whole win, and the
-// differential tests prove it changes nothing numerically.
-func benchMVM(seed int64) []Entry {
-	rng := xrand.Derive(seed, "perf/mvm")
-	cfg := rram.Config{Levels: 16, WriteStd: 0.05, Endurance: fault.Unlimited()}
-	cb := rram.New(mvmDim, mvmDim, cfg, rng.Split("cb"))
-	for r := 0; r < mvmDim; r++ {
-		for c := 0; c < mvmDim; c++ {
-			cb.Write(r, c, float64(rng.Intn(cfg.Levels)))
-		}
-	}
-	fm := fault.NewMap(mvmDim, mvmDim)
-	fault.Uniform{}.Inject(fm, 0.1, 0.5, rng.Split("faults"))
-	cb.InjectFaults(fm)
-
-	in := tensor.NewDense(batchB, mvmDim)
-	randFill(in.Data, rng)
-	out := make([]float64, mvmDim)
-	dst := tensor.NewDense(batchB, mvmDim)
-	cb.MVMBatchInto(dst, in) // warm the column scratch
-
-	config := "256x256,levels=16,faults=10%,B=8"
-	per := entry("rram.mvm/per_sample", config, testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for s := 0; s < batchB; s++ {
-				cb.MVMInto(out, in.Row(s))
-			}
-		}
-	}))
-	bat := entry("rram.mvm/batched", config, testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cb.MVMBatchInto(dst, in)
-		}
-	}))
-	return []Entry{per, vs(bat, per)}
 }
 
 // buildModel constructs the crossbar-backed MLP the forward and serving

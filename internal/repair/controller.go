@@ -33,8 +33,6 @@ type Controller struct {
 	// true when detection leaves kept weights on estimated faults, and
 	// with false when the pass completes.
 	OnDegraded func(on bool)
-
-	phase int
 }
 
 // Ctx is the per-pass state stages share: the target and effective
@@ -65,14 +63,6 @@ func (c *Ctx) Step(fn func() bool) {
 	}
 	fn()
 	c.Stats.Steps++
-}
-
-// RunPass runs the next maintenance pass, advancing the controller's
-// internal phase counter — the entry point for long-lived controllers
-// whose passes are not externally numbered.
-func (c *Controller) RunPass(rng *xrand.Stream) Stats {
-	c.phase++
-	return c.RunPhase(c.phase, rng)
 }
 
 // RunPhase runs one maintenance pass as the given 1-based phase. With

@@ -28,7 +28,7 @@ func runOutcomePass(t *testing.T, pol Policy, faults ...[2]int) Stats {
 		Policy: pol,
 		Config: Config{Oracle: true, MeasureOutcome: true},
 	}
-	return ctrl.RunPass(xrand.New(5))
+	return ctrl.RunPhase(1, xrand.New(5))
 }
 
 func TestOutcomeClean(t *testing.T) {
@@ -68,7 +68,7 @@ func TestOutcomeUnmeasured(t *testing.T) {
 		Policy: detectOnly{},
 		Config: Config{Oracle: true},
 	}
-	st := ctrl.RunPass(xrand.New(5))
+	st := ctrl.RunPhase(1, xrand.New(5))
 	if st.Outcome != OutcomeUnknown || st.Residual != 0 {
 		t.Errorf("outcome %v residual %d without MeasureOutcome, want unknown 0", st.Outcome, st.Residual)
 	}

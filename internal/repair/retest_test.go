@@ -63,7 +63,7 @@ func TestDisconnectNeverFiresOnRetestClearedCell(t *testing.T) {
 				}
 			},
 		}
-		st := c.RunPass(xrand.New(5))
+		st := c.RunPhase(1, xrand.New(5))
 		return st, b.Store.Read().At(0, 0)
 	}
 
@@ -101,7 +101,7 @@ func TestRetestKeepsSA0NeverCutInvariant(t *testing.T) {
 		Policy: GoldenImage{},
 		Config: Config{Oracle: true, Restore: true, RetestTransients: true},
 	}
-	st := c.RunPass(xrand.New(7))
+	st := c.RunPhase(1, xrand.New(7))
 	if st.RetestCleared != 0 {
 		t.Errorf("RetestCleared = %d, want 0 (the SA0 is permanent)", st.RetestCleared)
 	}

@@ -193,7 +193,7 @@ func TestControllerCountsStepsAndLowersDegraded(t *testing.T) {
 		Config:     Config{Oracle: true},
 		OnDegraded: func(on bool) { degraded = append(degraded, on) },
 	}
-	st := c.RunPass(xrand.New(3))
+	st := c.RunPhase(1, xrand.New(3))
 	// DropConnect = detect + disconnect, one step each for one store.
 	if st.Steps != 2 {
 		t.Errorf("Steps = %d, want 2", st.Steps)

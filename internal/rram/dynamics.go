@@ -43,12 +43,12 @@ func (cb *Crossbar) dynamicsInit() *dynamics {
 }
 
 // SetReadDisturb configures transient read-disturb flips: every analog
-// output port reading (SenseColumns/SenseRows/MVM/MVMBatch) is independently
-// corrupted with probability prob by ±magLevels (sign drawn uniformly). The
+// output port reading (SenseColumns/SenseRows) is independently corrupted
+// with probability prob by ±magLevels (sign drawn uniformly). The
 // corruption is purely transient — cell state is untouched, and the next
 // sense of the same port draws fresh. Disturb draws come from the dedicated
-// rng stream so the crossbar's main RNG (programming noise, wear polarity,
-// sense noise) is unaffected. prob <= 0 disables the model; rng may then be
+// rng stream so the crossbar's main RNG (programming noise, wear polarity)
+// is unaffected. prob <= 0 disables the model; rng may then be
 // nil.
 func (cb *Crossbar) SetReadDisturb(prob, magLevels float64, rng *xrand.Stream) {
 	d := cb.dynamicsInit()
@@ -118,8 +118,7 @@ func (cb *Crossbar) writeFailed() bool {
 }
 
 // disturb corrupts the analog output ports in out per the read-disturb
-// model. Called serially by the owning goroutine after the compute join,
-// alongside sense noise.
+// model. SenseColumns and SenseRows call it once their port sums are done.
 func (cb *Crossbar) disturb(out []float64) {
 	d := cb.dyn
 	if d == nil || d.disturbProb <= 0 {

@@ -139,10 +139,10 @@ func TestReadDisturbTransient(t *testing.T) {
 			cb.Write(r, c, float64(r+c))
 		}
 	}
-	in := []float64{1, 1}
-	clean := cb.MVM(in)
+	both := []int{0, 1}
+	clean := cb.SenseColumns(both)
 	cb.SetReadDisturb(1.0, 0.5, xrand.New(21))
-	disturbed := cb.MVM(in)
+	disturbed := cb.SenseColumns(both)
 	for c := range clean {
 		if dev := math.Abs(disturbed[c] - clean[c]); dev != 0.5 {
 			t.Errorf("port %d disturbed by %v, want ±0.5", c, disturbed[c]-clean[c])
@@ -154,7 +154,7 @@ func TestReadDisturbTransient(t *testing.T) {
 	// Transient: cell state is untouched, and turning the model off
 	// restores clean reads exactly.
 	cb.SetReadDisturb(0, 0, nil)
-	again := cb.MVM(in)
+	again := cb.SenseColumns(both)
 	for c := range clean {
 		if again[c] != clean[c] {
 			t.Fatalf("port %d reads %v after disturb, want clean %v", c, again[c], clean[c])
@@ -169,9 +169,9 @@ func TestReadDisturbUsesDedicatedStream(t *testing.T) {
 	a := New(1, 4, DefaultConfig(), xrand.New(22))
 	b := New(1, 4, DefaultConfig(), xrand.New(22))
 	a.SetReadDisturb(1.0, 0.25, xrand.New(23))
-	a.MVM([]float64{1})
+	a.SenseColumns([]int{0})
 	a.SetReadDisturb(0, 0, nil)
-	b.MVM([]float64{1})
+	b.SenseColumns([]int{0})
 	for c := 0; c < 4; c++ {
 		a.Write(0, c, 3)
 		b.Write(0, c, 3)

@@ -49,7 +49,7 @@ func FuzzCrossbarRestore(f *testing.F) {
 			return
 		}
 		// Restored state was accepted: the crossbar must be safe to use.
-		cb.MVM([]float64{1, 1, 1})
+		cb.SenseColumns([]int{0, 1, 2})
 		cb.Write(0, 0, 3)
 		_ = cb.FaultMap()
 	})

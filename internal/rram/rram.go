@@ -4,21 +4,13 @@
 // levels by default, following Xu et al. [17]), closed-loop writes with
 // Gaussian programming variance, per-cell write-endurance budgets that turn
 // worn-out cells into permanent stuck-at faults, and parallel row/column
-// sensing used both for matrix-vector multiplication and for the
-// quiescent-voltage test method.
+// sensing used by the quiescent-voltage test method. Inference reads each
+// cell's EffectiveLevel through internal/mapping and multiplies in
+// software.
 //
 // Conductance convention: level 0 is the high-resistance state (zero
 // weight), level MaxLevel is the low-resistance state. A stuck-at-0 (SA0)
 // cell reads level 0 forever; a stuck-at-1 (SA1) cell reads MaxLevel.
-//
-// MVM comes in per-sample (MVM/MVMInto) and batched (MVMBatch/
-// MVMBatchInto) forms. The batched form drives B input vectors through
-// one sweep of the conductance matrix — resolving each row's effective
-// levels once for the whole batch — and is bit-identical to the
-// per-sample loop by construction (same accumulation order, same
-// zero-skip rule, sense noise drawn per sample in batch order); see
-// DESIGN.md §7. The *Into variants write into caller-owned buffers and
-// are allocation-free at steady state.
 package rram
 
 import (
@@ -27,8 +19,6 @@ import (
 
 	"rramft/internal/fault"
 	"rramft/internal/obs"
-	"rramft/internal/par"
-	"rramft/internal/tensor"
 	"rramft/internal/xrand"
 )
 
@@ -43,7 +33,6 @@ var (
 	cWrites        = obs.NewCounter("rram.writes")
 	cWritesOnStuck = obs.NewCounter("rram.writes_on_stuck")
 	cWearOuts      = obs.NewCounter("rram.wearouts")
-	cMVMs          = obs.NewCounter("rram.mvms")
 	cSenses        = obs.NewCounter("rram.senses")
 )
 
@@ -57,12 +46,6 @@ type Config struct {
 	// exceed this variance; the default of 0.1 satisfies that for the
 	// one-level test increment.
 	WriteStd float64
-	// ReadNoiseStd adds zero-mean Gaussian noise (in level units) to
-	// every analog sensing operation (SenseColumns/SenseRows/MVM per
-	// output port), modelling sense-amplifier and line noise. Zero
-	// disables it. Quantized ReadLevel operations are unaffected (the
-	// off-chip read uses a slow, averaged ADC conversion).
-	ReadNoiseStd float64
 	// Endurance is the wear-out model for cells.
 	Endurance fault.EnduranceModel
 }
@@ -102,16 +85,12 @@ type Stats struct {
 // Concurrency invariant: a Crossbar is NOT safe for concurrent use. Its
 // write path mutates the stats/writes counters and its sensing path
 // consumes the crossbar's private RNG stream, so every crossbar must be
-// confined to one worker goroutine at a time. The per-tile parallelism in
-// internal/mapping honours this by dispatching whole tiles — each tile
-// owns its crossbar and its RNG (split per tile at construction), so
-// inter-tile scheduling never changes any tile's random draws. MVM's
-// *internal* column-blocked parallelism is compatible with the invariant:
-// its fan-out only reads cell state, and the RNG-consuming sense noise is
-// applied serially on the owning goroutine after the join.
+// confined to one worker goroutine at a time. Distinct crossbars share no
+// mutable state, so replicas and experiment fan-outs drive theirs from
+// separate goroutines freely.
 type Crossbar struct {
-	RowsN, ColsN int
-	cfg          Config
+	rows, cols int
+	cfg        Config
 
 	level  []float64    // programmed analog level per cell
 	kind   []fault.Kind // hard-fault state per cell
@@ -131,11 +110,6 @@ type Crossbar struct {
 	// campaigns are re-armed by their schedule, not resurrected from
 	// checkpoints.
 	dyn *dynamics
-
-	// mvmScratch caches one row of effective levels during batched MVMs.
-	// It is owned by the crossbar (single-owner invariant above) and lazily
-	// sized to ColsN; parallel column blocks write disjoint ranges of it.
-	mvmScratch []float64
 }
 
 // New builds a crossbar with all cells healthy at level 0. Endurance
@@ -149,7 +123,7 @@ func New(rows, cols int, cfg Config, rng *xrand.Stream) *Crossbar {
 	}
 	n := rows * cols
 	cb := &Crossbar{
-		RowsN: rows, ColsN: cols, cfg: cfg,
+		rows: rows, cols: cols, cfg: cfg,
 		level:  make([]float64, n),
 		kind:   make([]fault.Kind, n),
 		writes: make([]float64, n),
@@ -163,10 +137,10 @@ func New(rows, cols int, cfg Config, rng *xrand.Stream) *Crossbar {
 }
 
 // Rows returns the row count.
-func (cb *Crossbar) Rows() int { return cb.RowsN }
+func (cb *Crossbar) Rows() int { return cb.rows }
 
 // Cols returns the column count.
-func (cb *Crossbar) Cols() int { return cb.ColsN }
+func (cb *Crossbar) Cols() int { return cb.cols }
 
 // Config returns the crossbar configuration.
 func (cb *Crossbar) Config() Config { return cb.cfg }
@@ -183,12 +157,11 @@ func (cb *Crossbar) Stats() Stats { return cb.stats }
 // otherwise stable: two equal Gen values bracket a stretch in which every
 // EffectiveLevel read returns the same value, so a reader can cache
 // anything derived from cell state and revalidate it with one comparison
-// (mapping.CrossbarStore.Read does). Sense noise, read disturb and write
-// pulses eaten by the write-failure model never bump it — none of them
-// changes cell state.
+// (mapping.CrossbarStore.Read does). Read disturb and write pulses eaten
+// by the write-failure model never bump it — neither changes cell state.
 func (cb *Crossbar) Gen() uint64 { return cb.gen }
 
-func (cb *Crossbar) idx(r, c int) int { return r*cb.ColsN + c }
+func (cb *Crossbar) idx(r, c int) int { return r*cb.cols + c }
 
 // Fault returns the hard-fault state of cell (r, c).
 func (cb *Crossbar) Fault(r, c int) fault.Kind { return cb.kind[cb.idx(r, c)] }
@@ -203,8 +176,8 @@ func (cb *Crossbar) SetFault(r, c int, k fault.Kind) {
 // InjectFaults copies every fault in m onto the crossbar. The map must
 // match the crossbar dimensions.
 func (cb *Crossbar) InjectFaults(m *fault.Map) {
-	if m.Rows != cb.RowsN || m.Cols != cb.ColsN {
-		panic(fmt.Sprintf("rram: fault map %dx%d on crossbar %dx%d", m.Rows, m.Cols, cb.RowsN, cb.ColsN))
+	if m.Rows != cb.rows || m.Cols != cb.cols {
+		panic(fmt.Sprintf("rram: fault map %dx%d on crossbar %dx%d", m.Rows, m.Cols, cb.rows, cb.cols))
 	}
 	cb.gen++
 	for i, k := range m.Kinds {
@@ -217,7 +190,7 @@ func (cb *Crossbar) InjectFaults(m *fault.Map) {
 // FaultMap snapshots the ground-truth fault state. Detection experiments
 // score predictions against this.
 func (cb *Crossbar) FaultMap() *fault.Map {
-	m := fault.NewMap(cb.RowsN, cb.ColsN)
+	m := fault.NewMap(cb.rows, cb.cols)
 	copy(m.Kinds, cb.kind)
 	return m
 }
@@ -236,17 +209,7 @@ func (cb *Crossbar) FaultFraction() float64 {
 // EffectiveLevel returns the conductance level the array actually presents
 // at (r, c): 0 for SA0, MaxLevel for SA1, the programmed analog level
 // otherwise.
-func (cb *Crossbar) EffectiveLevel(r, c int) float64 {
-	i := cb.idx(r, c)
-	switch cb.kind[i] {
-	case fault.SA0:
-		return 0
-	case fault.SA1:
-		return cb.MaxLevel()
-	default:
-		return cb.level[i]
-	}
-}
+func (cb *Crossbar) EffectiveLevel(r, c int) float64 { return cb.effAt(cb.idx(r, c)) }
 
 // ProgrammedLevel returns the level most recently programmed, ignoring the
 // fault state. This is the controller's intent, not what the array presents.
@@ -321,19 +284,19 @@ func (cb *Crossbar) CellWrites(r, c int) float64 { return cb.writes[cb.idx(r, c)
 
 // SenseColumns drives the given rows with the test voltage and returns the
 // analog sum of effective levels observed at every column output port —
-// one test cycle of the quiescent-voltage method (or one step of an MVM).
+// one test cycle of the quiescent-voltage method.
 func (cb *Crossbar) SenseColumns(rows []int) []float64 {
 	if obs.MetricsEnabled() {
 		cSenses.Inc()
 	}
-	out := make([]float64, cb.ColsN)
+	out := make([]float64, cb.cols)
 	for _, r := range rows {
-		base := r * cb.ColsN
-		for c := 0; c < cb.ColsN; c++ {
+		base := r * cb.cols
+		for c := 0; c < cb.cols; c++ {
 			out[c] += cb.effAt(base + c)
 		}
 	}
-	cb.addSenseNoise(out)
+	cb.disturb(out)
 	return out
 }
 
@@ -343,29 +306,17 @@ func (cb *Crossbar) SenseRows(cols []int) []float64 {
 	if obs.MetricsEnabled() {
 		cSenses.Inc()
 	}
-	out := make([]float64, cb.RowsN)
-	for r := 0; r < cb.RowsN; r++ {
-		base := r * cb.ColsN
+	out := make([]float64, cb.rows)
+	for r := 0; r < cb.rows; r++ {
+		base := r * cb.cols
 		var sum float64
 		for _, c := range cols {
 			sum += cb.effAt(base + c)
 		}
 		out[r] = sum
 	}
-	cb.addSenseNoise(out)
-	return out
-}
-
-// addSenseNoise perturbs each analog output port reading: Gaussian sense
-// noise from the crossbar's main RNG, then any transient read-disturb
-// corruption from its dedicated stream (dynamics.go).
-func (cb *Crossbar) addSenseNoise(out []float64) {
-	if cb.cfg.ReadNoiseStd > 0 {
-		for i := range out {
-			out[i] += cb.rng.Gaussian(0, cb.cfg.ReadNoiseStd)
-		}
-	}
 	cb.disturb(out)
+	return out
 }
 
 func (cb *Crossbar) effAt(i int) float64 {
@@ -377,152 +328,6 @@ func (cb *Crossbar) effAt(i int) float64 {
 	default:
 		return cb.level[i]
 	}
-}
-
-// MVM computes the analog matrix-vector product out[c] = Σ_r in[r]·g[r][c]
-// over effective levels — the crossbar's native compute primitive. The
-// column ports accumulate in parallel (they are physically independent
-// sense amplifiers); each port sums rows in ascending order whatever the
-// worker count, so the result is byte-identical to a serial evaluation.
-func (cb *Crossbar) MVM(in []float64) []float64 {
-	out := make([]float64, cb.ColsN)
-	cb.MVMInto(out, in)
-	return out
-}
-
-// MVMInto is MVM writing into a caller-provided output of length Cols().
-// It is allocation-free on the serial path (RRAMFT_WORKERS=1), which the
-// AllocsPerRun gates pin; results are byte-identical to MVM.
-func (cb *Crossbar) MVMInto(out, in []float64) {
-	if len(in) != cb.RowsN {
-		panic(fmt.Sprintf("rram: MVM input length %d, want %d", len(in), cb.RowsN))
-	}
-	if len(out) != cb.ColsN {
-		panic(fmt.Sprintf("rram: MVM output length %d, want %d", len(out), cb.ColsN))
-	}
-	if obs.MetricsEnabled() {
-		cMVMs.Inc()
-	}
-	for c := range out {
-		out[c] = 0
-	}
-	g := mvmGrain(cb.RowsN)
-	if par.Serial(cb.ColsN, g) {
-		cb.mvmCols(out, in, 0, cb.ColsN)
-	} else {
-		par.For(cb.ColsN, g, func(c0, c1 int) {
-			cb.mvmCols(out, in, c0, c1)
-		})
-	}
-	cb.addSenseNoise(out)
-}
-
-// mvmCols accumulates output ports [c0, c1) of one MVM, summing rows in
-// ascending order and skipping zero drive voltages — the accumulation
-// contract every MVM variant (serial, parallel, batched) shares.
-func (cb *Crossbar) mvmCols(out, in []float64, c0, c1 int) {
-	for r, v := range in {
-		if v == 0 {
-			continue
-		}
-		base := r * cb.ColsN
-		for c := c0; c < c1; c++ {
-			out[c] += v * cb.effAt(base+c)
-		}
-	}
-}
-
-// MVMBatch computes B matrix-vector products in one pass: row b of the
-// returned B×Cols() matrix is MVM(in.Row(b)). See MVMBatchInto.
-func (cb *Crossbar) MVMBatch(in *tensor.Dense) *tensor.Dense {
-	out := tensor.NewDense(in.Rows, cb.ColsN)
-	cb.MVMBatchInto(out, in)
-	return out
-}
-
-// MVMBatchInto computes dst.Row(b) = MVM(in.Row(b)) for every row of the
-// B×Rows() input batch in a single column-blocked pass over the
-// conductance matrix: each block loads a row's effective levels once into
-// the crossbar-owned scratch and streams all B drive vectors through it,
-// amortizing the per-cell fault/level resolution over the batch. dst must
-// be B×Cols().
-//
-// Equivalence contract: the result is byte-identical to calling MVM once
-// per row in batch order. Every (b, c) output accumulates rows in
-// ascending order with the same zero-skip rule and the same per-element
-// multiply as MVM, and sense noise is drawn per sample in batch order
-// after the compute join — the exact RNG consumption of the per-sample
-// loop. The batched-vs-per-sample differential tests pin this bitwise.
-//
-// Steady-state calls are allocation-free (the scratch is reused across
-// calls); like every Crossbar method it must only be called by the
-// crossbar's owning goroutine.
-func (cb *Crossbar) MVMBatchInto(dst, in *tensor.Dense) {
-	if in.Cols != cb.RowsN {
-		panic(fmt.Sprintf("rram: MVMBatch input width %d, want %d", in.Cols, cb.RowsN))
-	}
-	if dst.Rows != in.Rows || dst.Cols != cb.ColsN {
-		panic(fmt.Sprintf("rram: MVMBatch dst %dx%d, want %dx%d", dst.Rows, dst.Cols, in.Rows, cb.ColsN))
-	}
-	if obs.MetricsEnabled() {
-		cMVMs.Add(int64(in.Rows))
-	}
-	if cap(cb.mvmScratch) < cb.ColsN {
-		cb.mvmScratch = make([]float64, cb.ColsN)
-	}
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	g := mvmGrain(cb.RowsN * in.Rows)
-	if par.Serial(cb.ColsN, g) {
-		cb.mvmBatchCols(dst, in, 0, cb.ColsN)
-	} else {
-		par.For(cb.ColsN, g, func(c0, c1 int) {
-			cb.mvmBatchCols(dst, in, c0, c1)
-		})
-	}
-	for b := 0; b < dst.Rows; b++ {
-		cb.addSenseNoise(dst.Row(b))
-	}
-}
-
-// mvmBatchCols accumulates output ports [c0, c1) for every sample of the
-// batch. The effective levels of row r are resolved once into the shared
-// scratch (parallel blocks own disjoint column ranges of it), then each
-// sample's drive voltage streams through them. Accumulation per (b, c)
-// matches mvmCols exactly: r-ascending, zero drives skipped, one multiply
-// per term.
-func (cb *Crossbar) mvmBatchCols(dst, in *tensor.Dense, c0, c1 int) {
-	eff := cb.mvmScratch[:cb.ColsN]
-	for r := 0; r < cb.RowsN; r++ {
-		base := r * cb.ColsN
-		for c := c0; c < c1; c++ {
-			eff[c] = cb.effAt(base + c)
-		}
-		for b := 0; b < in.Rows; b++ {
-			v := in.Data[b*in.Cols+r]
-			if v == 0 {
-				continue
-			}
-			drow := dst.Data[b*dst.Cols : b*dst.Cols+dst.Cols]
-			for c := c0; c < c1; c++ {
-				drow[c] += v * eff[c]
-			}
-		}
-	}
-}
-
-// mvmGrain sizes the column blocks so one block covers ~16k cells.
-func mvmGrain(rows int) int {
-	const targetCells = 16 << 10
-	if rows <= 0 {
-		return 1
-	}
-	g := targetCells / rows
-	if g < 1 {
-		g = 1
-	}
-	return g
 }
 
 // AvgWritesPerCell returns the mean cumulative write count.

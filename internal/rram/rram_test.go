@@ -3,7 +3,6 @@ package rram
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"rramft/internal/fault"
 	"rramft/internal/xrand"
@@ -169,24 +168,6 @@ func TestSenseSeesFaultsNotProgrammedValues(t *testing.T) {
 	}
 }
 
-func TestMVM(t *testing.T) {
-	cb := New(2, 3, noiselessConfig(), xrand.New(10))
-	// g = [[1,2,3],[4,5,6]]
-	vals := [][]float64{{1, 2, 3}, {4, 5, 6}}
-	for r := range vals {
-		for c, lv := range vals[r] {
-			cb.Write(r, c, lv)
-		}
-	}
-	out := cb.MVM([]float64{2, -1})
-	want := []float64{2*1 - 4, 2*2 - 5, 2*3 - 6}
-	for i := range want {
-		if math.Abs(out[i]-want[i]) > 1e-12 {
-			t.Errorf("MVM[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-}
-
 func TestWriteDelta(t *testing.T) {
 	cb := New(1, 1, noiselessConfig(), xrand.New(11))
 	cb.Write(0, 0, 3)
@@ -210,74 +191,6 @@ func TestCellWritesAndAvg(t *testing.T) {
 	}
 	if got := cb.AvgWritesPerCell(); got != 0.75 {
 		t.Errorf("AvgWritesPerCell = %v, want 0.75", got)
-	}
-}
-
-// Property: MVM agrees with SenseColumns when the input vector is a 0/1
-// row-selection mask.
-func TestMVMSenseConsistencyProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := xrand.New(seed)
-		rows := 2 + rng.Intn(10)
-		cols := 2 + rng.Intn(10)
-		cb := New(rows, cols, noiselessConfig(), rng.Split("cb"))
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				cb.Write(r, c, rng.Uniform(0, 7))
-				if rng.Bool(0.1) {
-					if rng.Bool(0.5) {
-						cb.SetFault(r, c, fault.SA0)
-					} else {
-						cb.SetFault(r, c, fault.SA1)
-					}
-				}
-			}
-		}
-		var sel []int
-		in := make([]float64, rows)
-		for r := 0; r < rows; r++ {
-			if rng.Bool(0.5) {
-				sel = append(sel, r)
-				in[r] = 1
-			}
-		}
-		a := cb.SenseColumns(sel)
-		b := cb.MVM(in)
-		for c := range a {
-			if math.Abs(a[c]-b[c]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReadNoiseOnSensing(t *testing.T) {
-	cfg := Config{Levels: 8, WriteStd: 0, ReadNoiseStd: 0.5, Endurance: fault.Unlimited()}
-	cb := New(4, 4, cfg, xrand.New(60))
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			cb.Write(r, c, 3)
-		}
-	}
-	// Two sensings of the same state must differ (transient noise) …
-	a := cb.SenseColumns([]int{0, 1, 2, 3})
-	b := cb.SenseColumns([]int{0, 1, 2, 3})
-	same := true
-	for i := range a {
-		if a[i] != b[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("read noise had no effect on repeated sensing")
-	}
-	// … while the quantized off-chip read stays exact.
-	if cb.ReadLevel(0, 0) != 3 {
-		t.Errorf("ReadLevel = %d, want 3 (unaffected by sense noise)", cb.ReadLevel(0, 0))
 	}
 }
 

@@ -2,6 +2,7 @@ package rram
 
 import (
 	"fmt"
+	"math"
 
 	"rramft/internal/fault"
 )
@@ -15,8 +16,8 @@ const StateVersion = 1
 // levels, hard-fault kinds, per-cell write counts and endurance budgets,
 // the write-traffic counters, and the crossbar's private RNG stream. A
 // crossbar restored from a State continues byte-identically: every future
-// write's programming noise, every wear-out polarity draw and every noisy
-// sense reproduces what the snapshotted crossbar would have produced.
+// write's programming noise and every wear-out polarity draw reproduces
+// what the snapshotted crossbar would have produced.
 //
 // The Config (levels, write variance, endurance model) is deliberately not
 // captured: it is construction-time wiring the owner re-creates, and
@@ -42,7 +43,7 @@ func (cb *Crossbar) Snapshot() *State {
 	}
 	return &State{
 		Version: StateVersion,
-		Rows:    cb.RowsN, Cols: cb.ColsN,
+		Rows:    cb.rows, Cols: cb.cols,
 		Level:  append([]float64(nil), cb.level...),
 		Kind:   append([]fault.Kind(nil), cb.kind...),
 		Writes: append([]float64(nil), cb.writes...),
@@ -64,12 +65,30 @@ func (cb *Crossbar) Restore(st *State) error {
 	if st.Version != StateVersion {
 		return fmt.Errorf("rram: snapshot version %d, this build reads version %d", st.Version, StateVersion)
 	}
-	if st.Rows != cb.RowsN || st.Cols != cb.ColsN {
-		return fmt.Errorf("rram: snapshot is %dx%d, crossbar is %dx%d", st.Rows, st.Cols, cb.RowsN, cb.ColsN)
+	if st.Rows != cb.rows || st.Cols != cb.cols {
+		return fmt.Errorf("rram: snapshot is %dx%d, crossbar is %dx%d", st.Rows, st.Cols, cb.rows, cb.cols)
 	}
-	n := cb.RowsN * cb.ColsN
+	n := cb.rows * cb.cols
 	if len(st.Level) != n || len(st.Kind) != n || len(st.Writes) != n || len(st.Budget) != n {
 		return fmt.Errorf("rram: snapshot cell arrays do not match %d cells", n)
+	}
+	// A decoded snapshot is untrusted input: reject cell state no crossbar
+	// can reach before anything on the receiver changes. Levels outside
+	// [0, MaxLevel] stay legal (write noise is not clamped), and an
+	// infinite budget is fault.Unlimited's.
+	for i := 0; i < n; i++ {
+		if st.Kind[i] > fault.SA1 {
+			return fmt.Errorf("rram: snapshot cell %d has unknown fault kind %v", i, st.Kind[i])
+		}
+		if lv := st.Level[i]; math.IsNaN(lv) || math.IsInf(lv, 0) {
+			return fmt.Errorf("rram: snapshot cell %d has non-finite level %v", i, lv)
+		}
+		if w := st.Writes[i]; !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("rram: snapshot cell %d has write count %v", i, w)
+		}
+		if b := st.Budget[i]; !(b >= 1) {
+			return fmt.Errorf("rram: snapshot cell %d has endurance budget %v, want >= 1", i, b)
+		}
 	}
 	if err := cb.rng.UnmarshalBinary(st.RNG); err != nil {
 		return fmt.Errorf("rram: restoring crossbar rng: %w", err)

@@ -1,6 +1,7 @@
 package rram
 
 import (
+	"math"
 	"testing"
 
 	"rramft/internal/fault"
@@ -13,7 +14,7 @@ import (
 func wornCrossbar(t testing.TB) *Crossbar {
 	t.Helper()
 	rng := xrand.New(7)
-	cfg := Config{Levels: 8, WriteStd: 0.1, ReadNoiseStd: 0.05,
+	cfg := Config{Levels: 8, WriteStd: 0.1,
 		Endurance: fault.EnduranceModel{Mean: 40, Std: 15, WearSA0Prob: 0.5}}
 	cb := New(32, 24, cfg, rng)
 	fm := fault.NewMap(32, 24)
@@ -59,26 +60,22 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Continuation: interleave writes (programming noise + wear draws),
-	// noisy senses and MVMs; every result must match exactly.
+	// Continuation: interleave writes (programming noise + wear draws)
+	// with column and row senses; every result must match exactly.
 	da, db := xrand.New(11), xrand.New(11)
-	in := make([]float64, 32)
-	for i := range in {
-		in[i] = float64(i%5) - 2
-	}
 	for k := 0; k < 500; k++ {
 		a.Write(da.Intn(32), da.Intn(24), da.Uniform(0, 7))
 		b.Write(db.Intn(32), db.Intn(24), db.Uniform(0, 7))
 		sa, sb := a.SenseColumns([]int{k % 32}), b.SenseColumns([]int{k % 32})
 		for i := range sa {
 			if sa[i] != sb[i] {
-				t.Fatalf("sense %d diverged after restore", k)
+				t.Fatalf("column sense %d diverged after restore", k)
 			}
 		}
-		ma, mb := a.MVM(in), b.MVM(in)
-		for i := range ma {
-			if ma[i] != mb[i] {
-				t.Fatalf("MVM %d diverged after restore", k)
+		ra, rb := a.SenseRows([]int{k % 24}), b.SenseRows([]int{k % 24})
+		for i := range ra {
+			if ra[i] != rb[i] {
+				t.Fatalf("row sense %d diverged after restore", k)
 			}
 		}
 	}
@@ -129,5 +126,47 @@ func TestRestoreValidation(t *testing.T) {
 	trunc.Level = trunc.Level[:10]
 	if err := b.Restore(trunc); err == nil {
 		t.Error("Restore accepted a snapshot with truncated cell arrays")
+	}
+
+	// Cell state no crossbar can reach: each must be rejected before the
+	// receiver changes, so its next write draws what an untouched twin's
+	// does.
+	for _, tc := range []struct {
+		name    string
+		corrupt func(st *State)
+	}{
+		{"unknown fault kind", func(st *State) { st.Kind[0] = 7 }},
+		{"NaN level", func(st *State) { st.Level[1] = math.NaN() }},
+		{"infinite level", func(st *State) { st.Level[1] = math.Inf(-1) }},
+		{"negative write count", func(st *State) { st.Writes[2] = -1 }},
+		{"NaN write count", func(st *State) { st.Writes[2] = math.NaN() }},
+		{"infinite write count", func(st *State) { st.Writes[2] = math.Inf(1) }},
+		{"NaN budget", func(st *State) { st.Budget[2] = math.NaN() }},
+		{"budget below one", func(st *State) { st.Budget[2] = 0.5 }},
+		{"-Inf budget", func(st *State) { st.Budget[2] = math.Inf(-1) }},
+	} {
+		bad := a.Snapshot()
+		tc.corrupt(bad)
+		recv := New(32, 24, a.Config(), xrand.New(3))
+		twin := New(32, 24, a.Config(), xrand.New(3))
+		if err := recv.Restore(bad); err == nil {
+			t.Errorf("%s: Restore accepted the snapshot", tc.name)
+			continue
+		}
+		recv.Write(0, 0, 3)
+		twin.Write(0, 0, 3)
+		if recv.EffectiveLevel(0, 0) != twin.EffectiveLevel(0, 0) || recv.Gen() != twin.Gen() {
+			t.Errorf("%s: the rejected Restore changed the receiver", tc.name)
+		}
+	}
+
+	// Write noise is not clamped, so finite levels outside [0, MaxLevel]
+	// are reachable, and +Inf is fault.Unlimited's budget.
+	edge := a.Snapshot()
+	edge.Level[1] = -0.3
+	edge.Level[2] = a.MaxLevel() + 0.3
+	edge.Budget[3] = math.Inf(1)
+	if err := b.Restore(edge); err != nil {
+		t.Errorf("Restore rejected reachable cell state: %v", err)
 	}
 }

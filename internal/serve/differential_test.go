@@ -49,7 +49,7 @@ func TestBatchedServingMatchesPerSampleForward(t *testing.T) {
 		// The engine's locked path resolves classes under the substrate
 		// lock (raw logits never outlive it), so take classes from the
 		// engine and logits from a direct batched forward on the same
-		// substrate — identical kernels, no read noise in this config.
+		// substrate — identical kernels, and Read draws no randomness.
 		preds := e.InferBatch(x)
 		batched := m.Net.Forward(x).Clone()
 

@@ -396,32 +396,3 @@ func (m *Dense) ArgMaxRow(r int) int {
 	}
 	return best
 }
-
-// PermuteCols returns a new matrix whose column j is m's column perm[j].
-// perm must be a permutation of [0, m.Cols).
-func PermuteCols(m *Dense, perm []int) *Dense {
-	if len(perm) != m.Cols {
-		panic(fmt.Sprintf("tensor: perm length %d for %d cols", len(perm), m.Cols))
-	}
-	out := NewDense(m.Rows, m.Cols)
-	for r := 0; r < m.Rows; r++ {
-		src := m.Row(r)
-		dst := out.Row(r)
-		for j, p := range perm {
-			dst[j] = src[p]
-		}
-	}
-	return out
-}
-
-// PermuteRows returns a new matrix whose row i is m's row perm[i].
-func PermuteRows(m *Dense, perm []int) *Dense {
-	if len(perm) != m.Rows {
-		panic(fmt.Sprintf("tensor: perm length %d for %d rows", len(perm), m.Rows))
-	}
-	out := NewDense(m.Rows, m.Cols)
-	for i, p := range perm {
-		copy(out.Row(i), m.Row(p))
-	}
-	return out
-}

@@ -172,18 +172,6 @@ func TestArgMaxRow(t *testing.T) {
 	}
 }
 
-func TestPermuteColsRows(t *testing.T) {
-	m := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	pc := PermuteCols(m, []int{2, 0, 1})
-	if !Equal(pc, FromSlice(2, 3, []float64{3, 1, 2, 6, 4, 5}), 0) {
-		t.Errorf("PermuteCols = %v", pc.Data)
-	}
-	pr := PermuteRows(m, []int{1, 0})
-	if !Equal(pr, FromSlice(2, 3, []float64{4, 5, 6, 1, 2, 3}), 0) {
-		t.Errorf("PermuteRows = %v", pr.Data)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	m := FromSlice(1, 2, []float64{1, 2})
 	c := m.Clone()
@@ -227,25 +215,6 @@ func TestMatMulTransposeProperty(t *testing.T) {
 		left := Transpose(MatMulNew(a, b))
 		right := MatMulNew(Transpose(b), Transpose(a))
 		return Equal(left, right, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: permuting columns then applying inverse permutation restores m.
-func TestPermuteInverseProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := xrand.New(seed)
-		n := 1 + rng.Intn(8)
-		c := 1 + rng.Intn(8)
-		m := randomDense(rng, n, c)
-		perm := rng.Perm(c)
-		inv := make([]int, c)
-		for i, p := range perm {
-			inv[p] = i
-		}
-		return Equal(PermuteCols(PermuteCols(m, perm), inv), m, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

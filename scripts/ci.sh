@@ -7,10 +7,11 @@
 # The race pass runs in -short mode: the slow training-experiment tests
 # (exp/core at Quick scale, minutes under -race) and the examples smoke
 # test (compiles six binaries) skip themselves via testing.Short(), while
-# every equivalence and concurrency-regression test in
-# par/tensor/rram/mapping still runs — including the checkpoint/resume
-# equivalence suite in internal/core, which deliberately does NOT skip in
-# -short — keeping the pass under a minute.
+# the worker-count equivalence tests in par, tensor and mapping (the
+# differential oracle) and rram's crossbar-confinement test still run —
+# including the checkpoint/resume equivalence suite in internal/core,
+# which deliberately does NOT skip in -short — keeping the pass under a
+# minute.
 #
 # RRAMFT_FUZZ=1 additionally runs each native fuzz target under the
 # coverage-guided fuzzer for ~10 s (the checked-in seed corpora under
@@ -32,7 +33,7 @@ go build ./...
 # CLI helpers, the maintenance/serving layers, the hot-path substrate
 # packages and the fault/detect/prune/remap mechanism layers the repair
 # stages are built from must carry a doc comment (these packages define
-# user-facing contracts — telemetry, serving API, the batched-MVM
+# user-facing contracts — telemetry, serving API, the batched-vs-per-sample
 # equivalence rules — so undocumented API is a bug), and the README CLI
 # reference must match the binaries' own -help-md output. nn and tensor
 # are hot-path packages too: the crossbar read cache relies on the
@@ -86,14 +87,16 @@ go test -race -short ./...
 (cd benchmark && go vet ./... && go test ./...)
 
 # Bench smoke: a short hot-path suite run must produce a structurally
-# valid BENCH.json (all required ops, finite timings, resolvable baseline
-# references). This gates the suite's plumbing, not the numbers — the
-# committed baseline is regenerated with the default -bench-time 1s; see
-# PERFORMANCE.md.
+# valid BENCH.json (exactly the suite's ops, finite timings, resolvable
+# baseline references). This gates the suite's plumbing, not the numbers —
+# the committed baseline is regenerated with the default -bench-time 1s;
+# see PERFORMANCE.md. The committed ledger must verify too, so it cannot
+# keep a row for an op the suite does not run.
 bench_json=$(mktemp)
 go run ./cmd/rramft-bench -bench-json "$bench_json" -bench-time 25ms > /dev/null
 go run ./cmd/rramft-bench -bench-verify "$bench_json"
 rm -f "$bench_json"
+go run ./cmd/rramft-bench -bench-verify BENCH.json
 
 # Serving soak under the race detector: 5 s of concurrent clients against a
 # live engine with background repair and a mid-run fault burst (the plain
