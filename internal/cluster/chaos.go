@@ -6,7 +6,6 @@ import (
 
 	"rramft/internal/chaos"
 	"rramft/internal/obs"
-	"rramft/internal/serve"
 )
 
 // cCrashes counts abrupt replica crashes injected by chaos campaigns (as
@@ -37,24 +36,11 @@ func (d *Dispatcher) Crash(i int) error {
 		obs.Emit("cluster/crash", map[string]float64{"replica": float64(i)})
 	}
 	d.setState(r.id, StateRebuilding)
-	old := d.engine(r.id)
-	m := d.cfg.NewModel(r.id, r.gen+1)
-	if d.cfg.Image != nil {
-		if err := d.cfg.Image.Program(m); err != nil {
-			// A hopeless image beats a dead slot: leave the old engine up.
-			d.setState(r.id, StateActive)
-			return err
-		}
+	if err := d.replace(r, d.engine(r.id)); err != nil {
+		// A hopeless image beats a dead slot: leave the old engine up.
+		d.setState(r.id, StateActive)
+		return err
 	}
-	ne := serve.NewEngine(m, d.cfg.InSize, d.cfg.Serve)
-	d.mu.Lock()
-	r.gen++
-	r.eng = ne
-	r.degradedStreak = 0
-	d.router.reset(r.id)
-	d.mu.Unlock()
-	d.setState(r.id, StateActive)
-	old.Close()
 	return nil
 }
 

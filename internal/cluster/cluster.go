@@ -28,6 +28,19 @@ var (
 	cRebuilds    = obs.NewCounter("cluster.rebuilds")
 )
 
+// rebuildAfter is how many consecutive degraded repair passes rebuild a
+// replica. A pass is degraded when kept weights still sit on
+// estimated-faulty cells after its stages ran. Disconnect-style policies
+// clear that residual within their sparsity budget. A pure restore policy
+// cannot un-stick a stuck cell, so under repair.GoldenImage with Restore
+// every pass over a faulty substrate is degraded, and such a replica
+// rebuilds every rebuildAfter-th pass.
+const rebuildAfter = 3
+
+// maxRedispatch bounds how many times one request is re-dispatched after a
+// replica-level refusal before the cluster answers serve.ErrOverloaded.
+const maxRedispatch = 2
+
 // Config parameterizes a Dispatcher.
 type Config struct {
 	// Replicas is the number of engine replicas (default 2).
@@ -55,47 +68,12 @@ type Config struct {
 	// and routing falls back to queue/churn signals alone.
 	ProbeX *tensor.Dense
 	ProbeY []int
-	// HealthWindow is the rolling-accuracy window in probes (default 8).
-	HealthWindow int
-	// QueueWeight and ChurnWeight scale the score penalties for queue
-	// fill and repair-epoch churn (defaults 0.25 and 0.1).
-	QueueWeight float64
-	ChurnWeight float64
-	// RebuildAfter rebuilds a replica after this many consecutive
-	// degraded repair passes (default 3; negative disables automatic
-	// rebuilds). A pass is degraded when kept weights still sit on
-	// estimated-faulty cells after its stages ran — disconnect-style
-	// policies clear that residual within their sparsity budget, while a
-	// pure restore policy cannot un-stick a stuck cell, so under
-	// repair.GoldenImage with Restore every pass over a faulty substrate
-	// counts toward the streak (raise RebuildAfter or disable if that is
-	// not the intent).
-	RebuildAfter int
-	// MaxRedispatch bounds how many times one request is re-dispatched
-	// after a replica-level refusal before the cluster answers
-	// serve.ErrOverloaded (default 2).
-	MaxRedispatch int
 }
 
 // WithDefaults fills zero fields.
 func (c Config) WithDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
-	}
-	if c.HealthWindow <= 0 {
-		c.HealthWindow = 8
-	}
-	if c.QueueWeight == 0 {
-		c.QueueWeight = 0.25
-	}
-	if c.ChurnWeight == 0 {
-		c.ChurnWeight = 0.1
-	}
-	if c.RebuildAfter == 0 {
-		c.RebuildAfter = 3
-	}
-	if c.MaxRedispatch <= 0 {
-		c.MaxRedispatch = 2
 	}
 	c.Serve = c.Serve.WithDefaults()
 	c.Repair = c.Repair.WithDefaults()
@@ -181,7 +159,7 @@ func New(cfg Config) (*Dispatcher, error) {
 	}
 	d := &Dispatcher{
 		cfg:       cfg,
-		router:    newRouter(cfg.Replicas, cfg.HealthWindow, cfg.QueueWeight, cfg.ChurnWeight),
+		router:    newRouter(cfg.Replicas, healthWindow),
 		done:      make(chan struct{}),
 		maintDone: make(chan struct{}),
 	}
@@ -324,7 +302,7 @@ func (d *Dispatcher) dispatch(req *serve.Request, out chan<- serve.Response, att
 }
 
 // await forwards the engine's response to the caller, re-dispatching
-// (bounded by MaxRedispatch) when the engine refused after accepting —
+// (bounded by maxRedispatch) when the engine refused after accepting —
 // it closed or drained with the request still queued. A request that
 // exhausts its re-dispatch budget, or finds no willing replica, is
 // answered with serve.ErrOverloaded: accounted, never dropped.
@@ -332,7 +310,7 @@ func (d *Dispatcher) await(req *serve.Request, ch <-chan serve.Response, out cha
 	defer d.wg.Done()
 	resp := <-ch
 	if resp.Err != nil && redispatchable(resp.Err) {
-		if attempt < d.cfg.MaxRedispatch {
+		if attempt < maxRedispatch {
 			if obs.MetricsEnabled() {
 				cRedispatch.Inc()
 			}
@@ -456,7 +434,7 @@ func (d *Dispatcher) anyOtherActive(i int) bool {
 // over to, the replica is drained first and readmitted after; a solo
 // replica repairs undrained under the engine's single-writer lock/epoch
 // protocol — draining it would black-hole all traffic for no isolation
-// gain. The pass always measures its outcome; RebuildAfter consecutive
+// gain. The pass always measures its outcome; rebuildAfter consecutive
 // degraded passes trigger a rebuild.
 func (d *Dispatcher) RepairReplica(i int) repair.Stats {
 	r := d.replicas[i]
@@ -491,7 +469,7 @@ func (d *Dispatcher) RepairReplica(i int) repair.Stats {
 	} else {
 		r.degradedStreak = 0
 	}
-	if d.cfg.RebuildAfter > 0 && r.degradedStreak >= d.cfg.RebuildAfter {
+	if r.degradedStreak >= rebuildAfter {
 		d.rebuild(r)
 	}
 	return st
@@ -514,12 +492,32 @@ func (d *Dispatcher) rebuild(r *replica) error {
 	d.setState(r.id, StateRebuilding)
 	old := d.engine(r.id)
 	old.Drain()
+	if err := d.replace(r, old); err != nil {
+		// A hopeless image beats a dead slot: put the old engine back.
+		old.Resume()
+		d.setState(r.id, StateActive)
+		return err
+	}
+	if obs.MetricsEnabled() {
+		cRebuilds.Inc()
+	}
+	if obs.Enabled() {
+		obs.Emit("cluster/rebuild", map[string]float64{"replica": float64(r.id), "gen": float64(r.gen)})
+	}
+	return nil
+}
+
+// replace swaps a fresh substrate into r's slot, which the caller has
+// moved to StateRebuilding: a model from NewModel at the next generation,
+// programmed from the Image when configured, behind a new engine. The
+// slot's streak and health history reset, the slot turns active, and old
+// closes after answering its queued work. When the image cannot be
+// programmed, replace returns the error and leaves old and the slot state
+// to the caller. The caller holds r.maintMu.
+func (d *Dispatcher) replace(r *replica, old *serve.Engine) error {
 	m := d.cfg.NewModel(r.id, r.gen+1)
 	if d.cfg.Image != nil {
 		if err := d.cfg.Image.Program(m); err != nil {
-			// A hopeless image beats a dead slot: put the old engine back.
-			old.Resume()
-			d.setState(r.id, StateActive)
 			return err
 		}
 	}
@@ -532,12 +530,6 @@ func (d *Dispatcher) rebuild(r *replica) error {
 	d.mu.Unlock()
 	d.setState(r.id, StateActive)
 	old.Close()
-	if obs.MetricsEnabled() {
-		cRebuilds.Inc()
-	}
-	if obs.Enabled() {
-		obs.Emit("cluster/rebuild", map[string]float64{"replica": float64(r.id), "gen": float64(r.gen)})
-	}
 	return nil
 }
 

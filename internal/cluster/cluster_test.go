@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -164,6 +165,70 @@ func TestRebuildSwapsSubstrate(t *testing.T) {
 	}
 }
 
+// TestReplicaReplacement pins what Rebuild and Crash share. When the image
+// does not fit the fresh model, the slot keeps its old engine at its old
+// generation, active and answering. With a fitting image, Crash clamps an
+// out-of-range index onto the first or the last replica.
+func TestReplicaReplacement(t *testing.T) {
+	t.Run("hopeless image", func(t *testing.T) {
+		fits := testNewModel(7, 0.02, fault.Unlimited())
+		d := testDispatcher(t, 2, func(c *Config) {
+			c.Image = CaptureImage(fits(0, 0))
+			c.NewModel = func(id, gen int) *core.Model {
+				if gen == 0 {
+					return fits(id, gen)
+				}
+				opts := core.DefaultBuildOptions(int64(gen))
+				opts.OnRCS = true
+				return core.BuildMLP(testInSize, []int{5}, testClasses, opts)
+			}
+		})
+		old := d.Engine(0)
+		rng := xrand.New(6)
+		for _, tc := range []struct {
+			name    string
+			replace func(int) error
+		}{{"Rebuild", d.Rebuild}, {"Crash", d.Crash}} {
+			if err := tc.replace(0); err == nil || !strings.Contains(err.Error(), "image matrix") {
+				t.Fatalf("%s(0) with a misfit image: err = %v, want the image's shape error", tc.name, err)
+			}
+			if d.Engine(0) != old {
+				t.Fatalf("%s swapped the engine although the image failed", tc.name)
+			}
+			if got := d.State(0); got != StateActive {
+				t.Errorf("State(0) = %v after the failed %s, want active", got, tc.name)
+			}
+			if gen := d.replicas[0].gen; gen != 0 {
+				t.Errorf("generation %d after the failed %s, want 0", gen, tc.name)
+			}
+			if r := old.Infer(&serve.Request{ID: tc.name, X: randSample(rng)}); r.Err != nil {
+				t.Errorf("replica 0 after the failed %s: %v", tc.name, r.Err)
+			}
+		}
+	})
+	t.Run("crash clamps index", func(t *testing.T) {
+		const n = 3
+		d := testDispatcher(t, n, func(c *Config) {
+			c.Image = CaptureImage(c.NewModel(0, 0))
+		})
+		for _, tc := range []struct{ arg, replica int }{{-1, 0}, {n, n - 1}} {
+			old := d.Engine(tc.replica)
+			if err := d.Crash(tc.arg); err != nil {
+				t.Fatalf("Crash(%d): %v", tc.arg, err)
+			}
+			if d.Engine(tc.replica) == old {
+				t.Errorf("Crash(%d) did not replace replica %d", tc.arg, tc.replica)
+			}
+			if gen := d.replicas[tc.replica].gen; gen != 1 {
+				t.Errorf("Crash(%d): replica %d at generation %d, want 1", tc.arg, tc.replica, gen)
+			}
+		}
+		if gen := d.replicas[1].gen; gen != 0 {
+			t.Errorf("middle replica at generation %d, want 0", gen)
+		}
+	})
+}
+
 // detectOnlyPolicy runs detection and nothing else, so kept weights on
 // faulty cells are found but never repaired — every pass over a faulty
 // substrate comes back degraded.
@@ -176,7 +241,7 @@ func (detectOnlyPolicy) Stages(repair.Config, *repair.Target, int) []repair.Stag
 }
 
 // TestDegradedStreakTriggersRebuild pins the hopeless-replica policy:
-// RebuildAfter consecutive degraded passes rebuild the replica, and the
+// rebuildAfter consecutive degraded passes rebuild the replica, and the
 // streak resets.
 func TestDegradedStreakTriggersRebuild(t *testing.T) {
 	var rebuilt atomic.Int32
@@ -184,7 +249,6 @@ func TestDegradedStreakTriggersRebuild(t *testing.T) {
 		c.NewModel = testNewModel(11, 0.1, fault.Unlimited())
 		c.Repair.Policy = detectOnlyPolicy{}
 		c.Repair.Oracle = true
-		c.RebuildAfter = 2
 		inner := c.NewModel
 		c.NewModel = func(id, gen int) *core.Model {
 			if gen > 0 {
@@ -197,16 +261,18 @@ func TestDegradedStreakTriggersRebuild(t *testing.T) {
 	// un-repaired.
 	d.Engine(0).InjectFaultBurst(0.3, 0.5, fault.Uniform{}, xrand.New(12))
 
-	st := d.RepairReplica(0)
-	if st.Outcome != repair.OutcomeDegraded {
-		t.Fatalf("first pass outcome = %v, want degraded (detect-only over a faulty substrate)", st.Outcome)
-	}
-	if rebuilt.Load() != 0 {
-		t.Fatal("rebuilt before the streak threshold")
+	for pass := 1; pass < rebuildAfter; pass++ {
+		st := d.RepairReplica(0)
+		if st.Outcome != repair.OutcomeDegraded {
+			t.Fatalf("pass %d outcome = %v, want degraded (detect-only over a faulty substrate)", pass, st.Outcome)
+		}
+		if rebuilt.Load() != 0 {
+			t.Fatalf("rebuilt after %d degraded passes, before the streak threshold", pass)
+		}
 	}
 	d.RepairReplica(0)
 	if rebuilt.Load() != 1 {
-		t.Fatalf("rebuilt %d times after %d degraded passes, want 1", rebuilt.Load(), 2)
+		t.Fatalf("rebuilt %d times after %d degraded passes, want 1", rebuilt.Load(), rebuildAfter)
 	}
 	if got := d.State(0); got != StateActive {
 		t.Errorf("State(0) = %v after rebuild, want active", got)

@@ -14,19 +14,20 @@
 //     replica there is nothing to fail over to, so repair runs undrained
 //     under the engine's existing single-writer lock/epoch protocol.
 //   - Requests refused by a draining, overloaded or closing replica are
-//     re-dispatched to another replica, bounded by Config.MaxRedispatch;
-//     a request the whole cluster refuses is answered with
-//     serve.ErrOverloaded. Every submission thus ends in exactly one
-//     response, which is what keeps serve.RunLoad's conservation
-//     invariant (Sent == OK+Timeouts+Rejected+Errored) true across
-//     failover — no request is silently dropped, and no request is ever
-//     answered twice.
-//   - A replica whose repair passes keep coming back degraded
-//     (repair.OutcomeDegraded, Config.RebuildAfter times in a row — the
-//     drop-connect budget exhausted, every further pass would only zero
-//     more weights) is rebuilt: a fresh substrate from Config.NewModel,
-//     re-programmed from the checkpoint weight Image, swapped in while
-//     the old engine drains and answers its remaining work.
+//     re-dispatched to another replica, at most twice; a request the
+//     whole cluster refuses, or that exhausts its re-dispatches, is
+//     answered with serve.ErrOverloaded. Every submission thus ends in
+//     exactly one response, which is what keeps serve.RunLoad's
+//     conservation invariant (Sent == OK+Timeouts+Rejected+Errored) true
+//     across failover — no request is silently dropped, and no request is
+//     ever answered twice.
+//   - A replica whose repair passes come back degraded three times in a
+//     row (repair.OutcomeDegraded: the drop-connect budget exhausted, so
+//     every further pass would only zero more weights; under golden
+//     restore, any faulty substrate) is rebuilt: a fresh substrate from
+//     Config.NewModel, re-programmed from the checkpoint weight Image,
+//     swapped in while the old engine drains and answers its remaining
+//     work.
 //
 // The layering mirrors the repair extraction: cluster may import serve,
 // repair and core; none of them may import cluster (enforced by

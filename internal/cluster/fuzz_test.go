@@ -28,7 +28,7 @@ func FuzzClusterRoute(f *testing.F) {
 			return
 		}
 		n := int(data[0]%6) + 1
-		r := newRouter(n, 4, 0.25, 0.1)
+		r := newRouter(n, 4)
 		skip := make(map[int]bool)
 		for k := 1; k+1 < len(data); k += 2 {
 			op, arg := data[k], data[k+1]

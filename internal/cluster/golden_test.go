@@ -19,8 +19,8 @@ import (
 // pinned byte-for-byte as a golden (regenerate with
 // RRAMFT_UPDATE_GOLDEN=1 or scripts/regen_golden.sh). Determinism comes
 // from the fake clock (zero latencies, no timeouts), a single closed-loop
-// client (fixed request order, no overload), MaxBatch 1 (no MaxWait timer
-// for the fake clock to starve), and single-worker tensor kernels. The
+// client (fixed request order, no overload), and single-worker tensor
+// kernels. The
 // "end" counters line is excluded because gauge deltas depend on which
 // tests ran earlier in the process.
 func TestFailoverScenarioGolden(t *testing.T) {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"rramft/internal/fault"
 	"rramft/internal/serve"
@@ -26,7 +25,6 @@ func TestPropertyExactlyOnceDelivery(t *testing.T) {
 			InSize:   testInSize,
 			Serve: serve.Config{
 				MaxBatch: g.IntRange(1, 4),
-				MaxWait:  time.Millisecond,
 				QueueCap: g.IntRange(1, 8),
 				Timeout:  -1, // no deadlines: a slow CI box must not skew accounting
 			},

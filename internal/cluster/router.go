@@ -40,10 +40,16 @@ const (
 	// its first probe: a fresh replica is neither favoured nor shunned.
 	neutralAccuracy = 0.5
 	// churnScale soft-saturates the epoch-churn penalty: a churn EWMA
-	// equal to churnScale costs half the full ChurnWeight. Repair passes
+	// equal to churnScale costs half the full churnWeight. Repair passes
 	// bump the epoch a handful of times, so single-digit churn already
 	// registers without ever exceeding the weight.
 	churnScale = 4.0
+	// queueWeight and churnWeight scale the score penalties for queue
+	// fill and repair-epoch churn.
+	queueWeight = 0.25
+	churnWeight = 0.1
+	// healthWindow is the dispatcher's rolling-accuracy window, in probes.
+	healthWindow = 8
 )
 
 // router is the pure routing core: per-replica lifecycle state plus the
@@ -63,24 +69,19 @@ type router struct {
 	queue     []float64
 	churn     []float64
 	lastEpoch []int64
-
-	queueWeight float64
-	churnWeight float64
 }
 
 // newRouter builds a router for n replicas with an accuracy window of
 // window probes per replica.
-func newRouter(n, window int, queueWeight, churnWeight float64) *router {
+func newRouter(n, window int) *router {
 	r := &router{
-		state:       make([]State, n),
-		acc:         make([][]float64, n),
-		accN:        make([]int, n),
-		accIdx:      make([]int, n),
-		queue:       make([]float64, n),
-		churn:       make([]float64, n),
-		lastEpoch:   make([]int64, n),
-		queueWeight: queueWeight,
-		churnWeight: churnWeight,
+		state:     make([]State, n),
+		acc:       make([][]float64, n),
+		accN:      make([]int, n),
+		accIdx:    make([]int, n),
+		queue:     make([]float64, n),
+		churn:     make([]float64, n),
+		lastEpoch: make([]int64, n),
 	}
 	for i := range r.acc {
 		r.acc[i] = make([]float64, window)
@@ -153,7 +154,7 @@ func (r *router) score(i int) float64 {
 	if math.IsNaN(acc) {
 		acc = neutralAccuracy
 	}
-	return acc - r.queueWeight*r.queue[i] - r.churnWeight*(r.churn[i]/(r.churn[i]+churnScale))
+	return acc - queueWeight*r.queue[i] - churnWeight*(r.churn[i]/(r.churn[i]+churnScale))
 }
 
 // pick chooses the replica to route to, skipping indices in skip (the

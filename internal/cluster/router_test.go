@@ -9,7 +9,7 @@ import (
 // accuracy is NaN before the first probe, but the score substitutes the
 // neutral value so comparisons stay total and routing never sees NaN.
 func TestRouterNaNBeforeFirstProbe(t *testing.T) {
-	r := newRouter(2, 4, 0.25, 0.1)
+	r := newRouter(2, 4)
 	if !math.IsNaN(r.rolling(0)) {
 		t.Errorf("rolling accuracy before first probe = %v, want NaN", r.rolling(0))
 	}
@@ -24,7 +24,7 @@ func TestRouterNaNBeforeFirstProbe(t *testing.T) {
 // TestRouterNaNObservationDropped pins that a NaN probe (replica skipped
 // mid-rebuild) does not poison the window.
 func TestRouterNaNObservationDropped(t *testing.T) {
-	r := newRouter(1, 4, 0.25, 0.1)
+	r := newRouter(1, 4)
 	r.observeAccuracy(0, 0.9)
 	r.observeAccuracy(0, math.NaN())
 	if got := r.rolling(0); got != 0.9 {
@@ -33,7 +33,7 @@ func TestRouterNaNObservationDropped(t *testing.T) {
 }
 
 func TestRouterPrefersHigherAccuracy(t *testing.T) {
-	r := newRouter(3, 4, 0.25, 0.1)
+	r := newRouter(3, 4)
 	r.observeAccuracy(0, 0.6)
 	r.observeAccuracy(1, 0.9)
 	r.observeAccuracy(2, 0.7)
@@ -48,7 +48,7 @@ func TestRouterPrefersHigherAccuracy(t *testing.T) {
 // TestRouterRollingWindow pins that the window forgets: after `window`
 // fresh probes the old accuracy no longer contributes.
 func TestRouterRollingWindow(t *testing.T) {
-	r := newRouter(1, 3, 0.25, 0.1)
+	r := newRouter(1, 3)
 	r.observeAccuracy(0, 0.0)
 	for i := 0; i < 3; i++ {
 		r.observeAccuracy(0, 0.9)
@@ -60,7 +60,7 @@ func TestRouterRollingWindow(t *testing.T) {
 
 // TestRouterQueuePenalty pins that a fuller queue loses the tie.
 func TestRouterQueuePenalty(t *testing.T) {
-	r := newRouter(2, 4, 0.25, 0.1)
+	r := newRouter(2, 4)
 	r.observeAccuracy(0, 0.8)
 	r.observeAccuracy(1, 0.8)
 	r.observeLoad(0, 0.9, 0)
@@ -77,7 +77,7 @@ func TestRouterQueuePenalty(t *testing.T) {
 // two equally accurate replicas, one with a substrate being actively
 // rewritten.
 func TestRouterChurnPenalty(t *testing.T) {
-	r := newRouter(2, 4, 0.25, 0.1)
+	r := newRouter(2, 4)
 	r.observeAccuracy(0, 0.8)
 	r.observeAccuracy(1, 0.8)
 	// Replica 0's epoch jumps by 10 per observation; replica 1 is quiet.
@@ -98,7 +98,7 @@ func TestRouterChurnPenalty(t *testing.T) {
 // least-bad one instead of -1 — the dispatcher must always have somewhere
 // to try while work is in hand.
 func TestRouterAllDegradedLeastBad(t *testing.T) {
-	r := newRouter(3, 4, 0.25, 0.1)
+	r := newRouter(3, 4)
 	r.setState(0, StateDraining)
 	r.setState(1, StateRepairing)
 	r.setState(2, StateDraining)
@@ -114,7 +114,7 @@ func TestRouterAllDegradedLeastBad(t *testing.T) {
 // skipped while any alternative exists, but is still returned when it is
 // the only replica left — never -1 with a non-skipped replica remaining.
 func TestRouterAvoidsRebuildingUnlessOnlyOption(t *testing.T) {
-	r := newRouter(2, 4, 0.25, 0.1)
+	r := newRouter(2, 4)
 	r.setState(0, StateRebuilding)
 	r.setState(1, StateDraining)
 	if got := r.pick(nil); got != 1 {
@@ -132,7 +132,7 @@ func TestRouterAvoidsRebuildingUnlessOnlyOption(t *testing.T) {
 // TestRouterReset pins the rebuild hand-off: health history clears so the
 // fresh substrate is judged on its own probes.
 func TestRouterReset(t *testing.T) {
-	r := newRouter(1, 4, 0.25, 0.1)
+	r := newRouter(1, 4)
 	r.observeAccuracy(0, 0.2)
 	r.observeLoad(0, 0.8, 0)
 	r.observeLoad(0, 0.8, 20)

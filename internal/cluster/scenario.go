@@ -12,6 +12,18 @@ import (
 	"rramft/internal/xrand"
 )
 
+// The failover scenario's fixed shape: its cluster width, the requests in
+// each load phase, and the fabrication fault fraction of each fresh replica
+// substrate. That fraction is deliberately below the training substrate's
+// Base.FaultFrac: the scenario images weights trained elsewhere onto
+// screened replica arrays, and unlike fault-aware training, imaging cannot
+// adapt the weights to the target's faults.
+const (
+	scenarioReplicas  = 2
+	scenarioRequests  = 40
+	scenarioFaultFrac = 0.02
+)
+
 // ScenarioConfig sizes the deterministic replicated-failover scenario:
 // train one model, image its weights onto independent replica substrates,
 // then walk the cluster through a staggered fault burst, a drain-repair-
@@ -21,30 +33,14 @@ import (
 type ScenarioConfig struct {
 	// Seed derives every random stream in the scenario.
 	Seed int64
-	// Replicas is the cluster width (default 2 — the golden scenario).
-	Replicas int
-	// Requests is the number of requests per load phase (default 40).
-	Requests int
-	// ReplicaFaultFrac is the fabrication fault fraction of each fresh
-	// replica substrate (default 0.02). It is deliberately below the
-	// training substrate's Base.FaultFrac: the scenario images weights
-	// trained elsewhere onto screened replica arrays, and unlike
-	// fault-aware training, imaging cannot adapt the weights to the
-	// target's faults.
-	ReplicaFaultFrac float64
 	// Base is the underlying single-engine scenario configuration (model
-	// shape, training run, burst severity, serve/repair configs). The
-	// serve config is forced to MaxBatch 1: the batch collector's
-	// MaxWait timer never fires on a fake clock, and the single-request
-	// fast path is what makes the journal byte-stable.
+	// shape, training run, burst severity, serve/repair configs).
 	Base serve.ScenarioConfig
 }
 
 // DefaultScenarioConfig returns the scenario defaults at the given seed.
 func DefaultScenarioConfig(seed int64) ScenarioConfig {
-	base := serve.DefaultScenarioConfig(seed)
-	base.Serve.MaxBatch = 1
-	return ScenarioConfig{Seed: seed, Replicas: 2, Requests: 40, ReplicaFaultFrac: 0.02, Base: base}
+	return ScenarioConfig{Seed: seed, Base: serve.DefaultScenarioConfig(seed)}
 }
 
 // ScenarioResult reports the accuracy trajectory of one failover scenario
@@ -96,25 +92,15 @@ func ScenarioDispatcher(base serve.ScenarioConfig, ds *dataset.Dataset, image *I
 // cluster through burst → drain → repair → readmit → rebuild with load
 // flowing at every step. Fully deterministic for a fixed config when
 // Base.Serve.Clock is a fake clock (single closed-loop client, no
-// timeouts, MaxBatch 1). Each phase is journaled as a "cluster_phase"
-// point when a journal is active. Training is left to the caller
+// timeouts). Each phase is journaled as a "cluster_phase" point when a
+// journal is active. Training is left to the caller
 // (serve.TrainScenarioModel, then CaptureImage), exactly like
 // serve.ServeRepairPhases, so the golden test can start its journal after
 // training and pin only the cluster phases.
 func FailoverPhases(image *Image, ds *dataset.Dataset, cfg ScenarioConfig) (*ScenarioResult, error) {
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 2
-	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = 40
-	}
-	cfg.Base.Serve.MaxBatch = 1
 	rc := cfg.Base
-	rc.FaultFrac = cfg.ReplicaFaultFrac
-	if rc.FaultFrac <= 0 {
-		rc.FaultFrac = 0.02
-	}
-	d, err := ScenarioDispatcher(rc, ds, image, cfg.Replicas)
+	rc.FaultFrac = scenarioFaultFrac
+	d, err := ScenarioDispatcher(rc, ds, image, scenarioReplicas)
 	if err != nil {
 		return nil, err
 	}
@@ -129,22 +115,18 @@ func FailoverPhases(image *Image, ds *dataset.Dataset, cfg ScenarioConfig) (*Sce
 	d.Engine(0).InjectFaultBurst(cfg.Base.BurstFrac, cfg.Base.BurstSA0, fault.Uniform{}, rng)
 	res.Degraded = d.ProbeAll()
 	emitPhase("degraded", res.Degraded)
-	res.Loads = append(res.Loads, loadPhase(d, ds, cfg.Requests))
+	res.Loads = append(res.Loads, loadPhase(d, ds))
 
 	// Fail away from the struck replica: drained, it refuses new work and
 	// the router sends everything to its peers.
 	d.Drain(0)
-	res.Loads = append(res.Loads, loadPhase(d, ds, cfg.Requests))
+	res.Loads = append(res.Loads, loadPhase(d, ds))
 
 	// Repair the struck replica and readmit it (RepairReplica drains
 	// around each pass itself; replica 0 is already out of rotation). As
 	// in the single-engine scenario, the first pass works from the
-	// noisiest fault estimate, so Base.RepairPasses passes run.
-	passes := cfg.Base.RepairPasses
-	if passes <= 0 {
-		passes = 2
-	}
-	for p := 0; p < passes; p++ {
+	// noisiest fault estimate, so serve.ScenarioRepairPasses passes run.
+	for p := 0; p < serve.ScenarioRepairPasses; p++ {
 		res.Stats.Add(d.RepairReplica(0))
 	}
 	res.Repaired = d.ProbeAll()
@@ -152,23 +134,23 @@ func FailoverPhases(image *Image, ds *dataset.Dataset, cfg ScenarioConfig) (*Sce
 
 	// Force a rebuild of the peer — the hopeless-replica path — and
 	// verify the cluster still answers everything afterwards.
-	if err := d.Rebuild(cfg.Replicas - 1); err != nil {
+	if err := d.Rebuild(scenarioReplicas - 1); err != nil {
 		d.Close()
 		return nil, err
 	}
 	res.Rebuilt = d.ProbeAll()
 	emitPhase("rebuilt", res.Rebuilt)
-	res.Loads = append(res.Loads, loadPhase(d, ds, cfg.Requests))
+	res.Loads = append(res.Loads, loadPhase(d, ds))
 	return res, nil
 }
 
 // loadPhase runs one single-client closed-loop load phase over the test
 // set (deterministic: one client means a fixed request order, and with no
 // concurrency the cluster can never overload).
-func loadPhase(d *Dispatcher, ds *dataset.Dataset, requests int) *serve.LoadResult {
+func loadPhase(d *Dispatcher, ds *dataset.Dataset) *serve.LoadResult {
 	return serve.RunLoad(d, serve.LoadConfig{
 		Clients:  1,
-		Requests: requests,
+		Requests: scenarioRequests,
 		Sample: func(i int) ([]float64, int) {
 			k := i % len(ds.TestY)
 			return ds.TestX.Row(k), ds.TestY[k]

@@ -45,13 +45,11 @@ func TestClusterSoak(t *testing.T) {
 		InSize:   testInSize,
 		Serve: serve.Config{
 			MaxBatch: 4,
-			MaxWait:  500 * time.Microsecond,
 			QueueCap: 32,
 			Timeout:  100 * time.Millisecond,
 		},
 		Repair: serve.RepairConfig{Every: 10 * time.Millisecond},
 		ProbeX: x, ProbeY: y,
-		RebuildAfter: 3,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -163,9 +163,8 @@ type BuildOptions struct {
 	// up to ~50% after repeated retraining).
 	InitialFaultFrac float64
 	// FaultDist is the spatial distribution of those defects (nil =
-	// uniform). SA0Share splits polarity (0 defaults to 0.5).
+	// uniform); half of them are SA0, half SA1.
 	FaultDist fault.Distribution
-	SA0Share  float64
 	// FCSparsity / ConvSparsity are the pruning targets recorded on the
 	// bindings (FC layers prune well, conv layers poorly — §6.4).
 	FCSparsity   float64
@@ -189,12 +188,8 @@ func makeStore(name string, w *tensor.Dense, onRCS bool, opts BuildOptions, rng 
 		if dist == nil {
 			dist = fault.Uniform{}
 		}
-		sa0 := opts.SA0Share
-		if sa0 == 0 {
-			sa0 = 0.5
-		}
 		fm := fault.NewMap(w.Rows, w.Cols)
-		dist.Inject(fm, opts.InitialFaultFrac, sa0, rng.Split("faults/"+name))
+		dist.Inject(fm, opts.InitialFaultFrac, 0.5, rng.Split("faults/"+name))
 		cs.Crossbar().InjectFaults(fm)
 	}
 	return cs, cs

@@ -91,7 +91,6 @@ func legacyMaintain(m *Model, cfg TrainConfig, res *RunResult, phase int, rng *x
 				FaultLeft:  fl,
 				KeepRight:  legacyKeepBool(right, masks[rb]),
 				FaultRight: fr,
-				Model:      cfg.RemapModel,
 			})
 			perm := cfg.Remap.Optimize(conf, left.ColPerm(), rng)
 			if conf.Cost(perm) >= conf.Cost(left.ColPerm()) {

@@ -61,8 +61,7 @@ type TrainConfig struct {
 	// maintenance phase (nil disables re-mapping; pruning still runs
 	// when Detect is set, since the paper's flow generates pruning
 	// during detection).
-	Remap      remap.Optimizer
-	RemapModel remap.CostModel
+	Remap remap.Optimizer
 	// RemapPhases limits re-mapping to the first K maintenance phases
 	// (0 = no limit). Early phases fix the placement before the network
 	// has deeply adapted to it; re-mapping late in training relocates
@@ -76,11 +75,6 @@ type TrainConfig struct {
 	// disconnect, repair.DropConnect's disconnect-only fault masking —
 	// plug in here; the -repair-policy flag wires this in rramft-train.
 	RepairPolicy repair.Policy
-	// MagnitudeRemap switches boundary re-mapping from the paper's binary
-	// kept-on-fault conflict costs to serving-grade magnitude lane costs
-	// priced against a per-phase weight snapshot (repair.Config
-	// MagnitudeCosts).
-	MagnitudeRemap bool
 
 	// FaultAwarePruning is an extension beyond the paper: the pruning
 	// mask spends its sparsity budget on weights whose cells were
@@ -326,10 +320,8 @@ func maintain(m *Model, cfg TrainConfig, res *RunResult, phase int, rng *xrand.S
 	rcfg := repair.Config{
 		Oracle:            cfg.OracleDetection,
 		Remap:             cfg.Remap,
-		RemapModel:        cfg.RemapModel,
 		RemapPhases:       cfg.RemapPhases,
 		FaultAwarePruning: cfg.FaultAwarePruning,
-		MagnitudeCosts:    cfg.MagnitudeRemap,
 		Restore:           pol.NeedsReference(),
 		StageSpans:        true,
 	}
@@ -337,7 +329,7 @@ func maintain(m *Model, cfg TrainConfig, res *RunResult, phase int, rng *xrand.S
 		rcfg.Detect = *cfg.Detect
 	}
 	ctrl := &repair.Controller{
-		Target: m.RepairTarget(pol.NeedsReference() || cfg.MagnitudeRemap),
+		Target: m.RepairTarget(pol.NeedsReference()),
 		Policy: pol,
 		Config: rcfg,
 		OnDetect: func(b *repair.Binding, dres *detect.Result) {

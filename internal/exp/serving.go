@@ -35,11 +35,10 @@ func ServingUnderFaults(scale Scale, seed int64) *Report {
 	m, ds := serve.TrainScenarioModel(cfg)
 	rng := xrand.Derive(seed, "exp-serving")
 	// Clients matches the engine's MaxBatch: a closed-loop convoy of that
-	// size fills batches on the size trigger instead of idling on the
-	// MaxWait deadline timer, so the batched phases measure coalescing,
-	// not the 2ms latency bound. (Responses for one batch complete
-	// together, so the clients re-submit together and the convoy
-	// self-sustains.)
+	// size keeps a backlog queued behind each forward pass, which the
+	// executor takes as the next batch, so the batched phases measure
+	// coalescing. (Responses for one batch complete together, so the
+	// clients re-submit together and the convoy self-sustains.)
 	load := serve.LoadConfig{
 		Clients:  8,
 		QPS:      ServeQPS,

@@ -76,12 +76,9 @@ type StoreConfig struct {
 	// re-programmed up to MaxWriteRetries total attempts, and a cell that
 	// never verifies is degraded into a tracked stuck fault instead of
 	// silently holding a wrong value. Zero keeps the plain
-	// fire-and-forget write path, byte-identical to earlier builds.
+	// fire-and-forget write path, byte-identical to earlier builds. A
+	// write verifies within half the inter-level spacing.
 	MaxWriteRetries int
-	// VerifyTol is the write-verify tolerance in conductance levels
-	// (zero defaults to 0.5, half the inter-level spacing). Ignored when
-	// MaxWriteRetries is zero.
-	VerifyTol float64
 }
 
 // DefaultStoreConfig returns an 8-level, 0.1-variance, unlimited-endurance,
@@ -98,8 +95,7 @@ type CrossbarStore struct {
 	wMax       float64
 	levelScale float64 // weight units per level
 
-	maxWriteRetries int     // 0 = plain writes, >0 = verify-and-retry
-	verifyTol       float64 // level units; 0 defaults in rram.WriteVerified
+	maxWriteRetries int // 0 = plain writes, >0 = verify-and-retry
 
 	sign    []int8 // logical sign matrix (periphery registers)
 	keep    []bool // pruning mask; nil until SetPruneMask
@@ -140,7 +136,6 @@ func NewCrossbarStore(name string, w *tensor.Dense, cfg StoreConfig, rng *xrand.
 		levelScale: wMax / float64(cfg.Crossbar.Levels-1),
 
 		maxWriteRetries: cfg.MaxWriteRetries,
-		verifyTol:       cfg.VerifyTol,
 		sign:            make([]int8, w.Rows*w.Cols),
 		rowPerm:         remap.IdentityPerm(w.Rows),
 		colPerm:         remap.IdentityPerm(w.Cols),
@@ -260,7 +255,7 @@ func (s *CrossbarStore) ApplyDelta(delta *tensor.Dense) {
 func (s *CrossbarStore) programCell(li, pr, pc int, w float64) {
 	target := math.Abs(w) / s.levelScale
 	if s.maxWriteRetries > 0 {
-		s.cb.WriteVerified(pr, pc, target, s.maxWriteRetries, s.verifyTol)
+		s.cb.WriteVerified(pr, pc, target, s.maxWriteRetries, 0.5)
 	} else {
 		s.cb.Write(pr, pc, target)
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 // Clock abstracts monotonic time for components whose externally visible
-// behaviour depends on timing — the serving batcher's max-wait timer, for
-// one — so tests can drive that behaviour deterministically instead of
-// sleeping and hoping. Times are int64 nanoseconds since an arbitrary
+// behaviour depends on timing — the serving engine's request deadlines and
+// maintenance period, the chaos engine's schedule — so tests can drive that
+// behaviour deterministically instead of sleeping and hoping. Times are int64 nanoseconds since an arbitrary
 // epoch, matching the journal clock convention.
 type Clock interface {
 	// Now returns the current time in nanoseconds. It is non-decreasing.

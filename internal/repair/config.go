@@ -5,23 +5,22 @@ import (
 	"rramft/internal/remap"
 )
 
-// Default repair tolerances, in conductance levels. DefaultRestoreTol is
-// how far a kept weight may drift from the reference before a restore
-// rewrites it — kept well above typical write noise but tight enough that
-// perm-install churn cannot accumulate visible error. DefaultAdaptTol is
-// the margin for treating a stuck cell as adapted (its value still serves
-// the reference weight) in both the re-mapping conflict inputs and the
-// deviant-fault disconnect.
+// Repair tolerances, in conductance levels. restoreTol is how far a kept
+// weight may drift from the reference before a restore rewrites it — kept
+// well above typical write noise but tight enough that perm-install churn
+// cannot accumulate visible error. adaptTol is the margin within which the
+// deviant-fault disconnect treats a stuck cell as adapted: its value still
+// serves the reference weight, so it stays connected.
 const (
-	DefaultRestoreTol = 0.1
-	DefaultAdaptTol   = 0.5
+	restoreTol = 0.1
+	adaptTol   = 0.5
 )
 
-// DefaultRetestDelta is the probe amplitude of the transient re-test, in
+// retestDelta is the probe amplitude of the transient re-test, in
 // conductance levels: large enough that a responsive cell's movement
 // clears the closed-loop write tolerance, small enough not to disturb the
 // stored weight beyond what the probe itself restores.
-const DefaultRetestDelta = 1.0
+const retestDelta = 1.0
 
 // Config parameterizes one maintenance pass, for every policy. Policies
 // read the subset that concerns them; the zero value is usable after
@@ -39,11 +38,8 @@ type Config struct {
 	Oracle bool
 
 	// Remap selects the neuron re-ordering optimizer used by remapping
-	// stages (nil disables re-mapping). RemapModel picks the conflict
-	// cost model for the paper's binary kept-on-fault costs; it is unused
-	// when a stage prices lanes by magnitude instead.
-	Remap      remap.Optimizer
-	RemapModel remap.CostModel
+	// stages (nil disables re-mapping).
+	Remap remap.Optimizer
 	// RemapPhases limits re-mapping to the first K maintenance phases
 	// (0 = no limit). Early phases fix the placement before the network
 	// has deeply adapted to it; re-mapping late relocates weights whose
@@ -56,21 +52,12 @@ type Config struct {
 	// reference mask deliberately does not zero-score faults — see
 	// RefMaskStage).
 	FaultAwarePruning bool
-	// MagnitudeCosts switches the Paper policy's boundary re-mapping from
-	// binary kept-on-fault conflict costs to the serving layer's
-	// expected-weight-error lane costs. Requires a Target with reference
-	// images; ignored otherwise.
-	MagnitudeCosts bool
 
 	// Restore enables golden-image repair: kept weights are re-programmed
 	// from the Target's reference snapshots and still-deviant cells are
 	// disconnected. Without it (or without references) the GoldenImage
 	// policy degrades to disconnect-only repair.
 	Restore bool
-	// RestoreTol and AdaptTol are the restore/adaptation tolerances in
-	// conductance levels (defaults DefaultRestoreTol / DefaultAdaptTol).
-	RestoreTol float64
-	AdaptTol   float64
 
 	// RetestTransients inserts a re-test stage after detection: every
 	// estimated-faulty cell is probed with a small behavioural write test
@@ -83,9 +70,6 @@ type Config struct {
 	// for a stale estimate. Off by default — fabrication-time faults never
 	// clear, so the extra probe writes buy nothing there.
 	RetestTransients bool
-	// RetestDelta is the probe amplitude of the re-test in conductance
-	// levels (default DefaultRetestDelta).
-	RetestDelta float64
 
 	// MeasureOutcome makes the controller re-count kept weights on
 	// estimated-faulty cells after the last stage (one extra substrate
@@ -103,22 +87,12 @@ type Config struct {
 
 // WithDefaults returns the config with zero fields filled and
 // out-of-range fields clamped: the detection sub-config is completed via
-// detect.Config.WithDefaults, non-positive tolerances become the package
-// defaults, and a negative RemapPhases (nonsensical: it would disable
-// re-mapping while looking enabled) becomes 0 (no limit).
+// detect.Config.WithDefaults, and a negative RemapPhases (nonsensical: it
+// would disable re-mapping while looking enabled) becomes 0 (no limit).
 func (c Config) WithDefaults() Config {
 	c.Detect = c.Detect.WithDefaults()
-	if c.RestoreTol <= 0 {
-		c.RestoreTol = DefaultRestoreTol
-	}
-	if c.AdaptTol <= 0 {
-		c.AdaptTol = DefaultAdaptTol
-	}
 	if c.RemapPhases < 0 {
 		c.RemapPhases = 0
-	}
-	if c.RetestDelta <= 0 {
-		c.RetestDelta = DefaultRetestDelta
 	}
 	return c
 }

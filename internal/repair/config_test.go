@@ -4,12 +4,6 @@ import "testing"
 
 func TestWithDefaultsFillsZeroConfig(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.RestoreTol != DefaultRestoreTol {
-		t.Errorf("RestoreTol = %v, want %v", c.RestoreTol, DefaultRestoreTol)
-	}
-	if c.AdaptTol != DefaultAdaptTol {
-		t.Errorf("AdaptTol = %v, want %v", c.AdaptTol, DefaultAdaptTol)
-	}
 	if c.RemapPhases != 0 {
 		t.Errorf("RemapPhases = %d, want 0", c.RemapPhases)
 	}
@@ -21,19 +15,16 @@ func TestWithDefaultsFillsZeroConfig(t *testing.T) {
 }
 
 func TestWithDefaultsClamps(t *testing.T) {
-	c := Config{RemapPhases: -3, RestoreTol: -1, AdaptTol: -0.5}.WithDefaults()
+	c := Config{RemapPhases: -3}.WithDefaults()
 	if c.RemapPhases != 0 {
 		t.Errorf("negative RemapPhases not clamped: %d", c.RemapPhases)
-	}
-	if c.RestoreTol != DefaultRestoreTol || c.AdaptTol != DefaultAdaptTol {
-		t.Errorf("negative tolerances not replaced: %v / %v", c.RestoreTol, c.AdaptTol)
 	}
 }
 
 func TestWithDefaultsPreservesExplicitValues(t *testing.T) {
-	in := Config{RestoreTol: 0.25, AdaptTol: 0.75, RemapPhases: 5}
+	in := Config{RemapPhases: 5}
 	c := in.WithDefaults()
-	if c.RestoreTol != 0.25 || c.AdaptTol != 0.75 || c.RemapPhases != 5 {
+	if c.RemapPhases != 5 {
 		t.Errorf("explicit values changed: %+v", c)
 	}
 	// Idempotent: defaults applied twice are the same config.

@@ -22,17 +22,13 @@ type Policy interface {
 // Paper is the paper's Fig. 2 maintenance loop, training's historical
 // pipeline: detection, ramped prospective pruning masks, boundary
 // re-mapping against those masks (gated by RemapPhases), then the monotone
-// mask install. With MagnitudeCosts and a reference-bearing target, the
-// boundary re-mapping prices lanes by expected weight error instead of the
-// paper's binary kept-on-fault counts — serving-grade remap as a training
-// opt-in.
+// mask install.
 type Paper struct{}
 
 // Name implements Policy.
 func (Paper) Name() string { return "paper" }
 
-// NeedsReference implements Policy. The paper flow needs no golden image;
-// magnitude costs use one only when the driver supplies it.
+// NeedsReference implements Policy. The paper flow needs no golden image.
 func (Paper) NeedsReference() bool { return false }
 
 // detectStages is the detection prefix every policy shares: the detection
@@ -47,10 +43,10 @@ func detectStages(cfg Config) []Stage {
 }
 
 // Stages implements Policy.
-func (Paper) Stages(cfg Config, t *Target, phase int) []Stage {
+func (Paper) Stages(cfg Config, _ *Target, phase int) []Stage {
 	stages := append(detectStages(cfg), RampMaskStage{})
 	if cfg.Remap != nil && (cfg.RemapPhases == 0 || phase <= cfg.RemapPhases) {
-		stages = append(stages, BoundaryRemapStage{Magnitude: cfg.MagnitudeCosts && t.HasRefs()})
+		stages = append(stages, BoundaryRemapStage{})
 	}
 	return append(stages, InstallMonotoneStage{})
 }

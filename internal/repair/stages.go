@@ -78,7 +78,7 @@ func (RetestStage) Run(ctx *Ctx) {
 	for _, b := range ctx.Target.Bindings {
 		b := b
 		ctx.Step(func() bool {
-			n := b.Store.RetestEstimatedFaults(ctx.Cfg.RetestDelta)
+			n := b.Store.RetestEstimatedFaults(retestDelta)
 			ctx.Stats.RetestCleared += n
 			return n > 0
 		})
@@ -237,7 +237,7 @@ func referenceSparsity(b *Binding) float64 {
 // re-programming writes.
 //
 // Magnitude selects the cost model: false prices the paper's binary
-// kept-on-fault conflicts (Config.RemapModel); true prices assignments by
+// kept-on-fault conflicts (remap.PaperCost); true prices assignments by
 // expected weight error against the reference images (see LaneCostCols).
 type BoundaryRemapStage struct {
 	Magnitude bool
@@ -273,7 +273,6 @@ func (s BoundaryRemapStage) Run(ctx *Ctx) {
 				FaultLeft:  fl,
 				KeepRight:  keepBool(right, ctx.Masks[rb]),
 				FaultRight: fr,
-				Model:      ctx.Cfg.RemapModel,
 			})
 		}
 		perm := ctx.Cfg.Remap.Optimize(conf, base, ctx.Rng)
@@ -431,8 +430,8 @@ func (InstallRestoreStage) Run(ctx *Ctx) {
 		b := b
 		ctx.Step(func() bool {
 			b.Store.SetPruneMask(ctx.Masks[b])
-			ctx.Stats.RestoreWrites += b.Store.RestoreReference(b.Ref, ctx.Cfg.RestoreTol)
-			ctx.Stats.Disconnected += b.Store.DisconnectDeviants(b.Ref, ctx.Cfg.AdaptTol)
+			ctx.Stats.RestoreWrites += b.Store.RestoreReference(b.Ref, restoreTol)
+			ctx.Stats.Disconnected += b.Store.DisconnectDeviants(b.Ref, adaptTol)
 			return true
 		})
 	}

@@ -19,15 +19,12 @@ import (
 // buffers are warm, a steady-state Infer must allocate nothing anywhere in
 // the process — caller, queue, batch executor and forward pass included
 // (AllocsPerRun counts global mallocs, so the executor goroutine is part
-// of the measurement). MaxBatch=1 keeps the batcher's MaxWait timer out of
-// the loop; the timer channel is a real per-batch allocation the
-// coalescing path pays for latency bounding, and it is measured separately
-// by the benchmark suite, not gated here.
+// of the measurement). It runs at the serving defaults.
 func TestInferAllocFree(t *testing.T) {
 	t.Setenv(par.EnvWorkers, "1")
 	obs.EnableMetrics()
 	m := testModelRCS(31, 0.05, fault.Unlimited())
-	e := NewEngine(m, testInSize, Config{MaxBatch: 1})
+	e := NewEngine(m, testInSize, Config{})
 	defer e.Close()
 
 	req := &Request{ID: "alloc-gate", X: randSample(xrand.New(4))}

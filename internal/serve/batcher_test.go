@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,121 +10,107 @@ import (
 	"rramft/internal/xrand"
 )
 
-// batchEvent records one batchHook firing.
-type batchEvent struct {
-	size   int
-	reason string
+// submitOne submits one random request and returns its response channel.
+func submitOne(t *testing.T, e *Engine, rng *xrand.Stream) <-chan Response {
+	t.Helper()
+	ch, err := e.Submit(&Request{X: randSample(rng)})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	return ch
 }
 
-// TestBatchingDecisions drives the batcher on a fake clock, making the
-// fire-on-size / fire-on-deadline / deadline-exceeded decisions byte-stable
-// instead of sleep-and-hope.
-func TestBatchingDecisions(t *testing.T) {
+// recvWithin returns the next value on ch, failing the test after 5 s.
+func recvWithin[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	var v T
+	select {
+	case v = <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s never arrived", what)
+	}
+	return v
+}
+
+// TestBatchCollect pins the batcher on a fake clock that nobody advances:
+// a batch is the request the executor dequeued plus whatever is already
+// queued behind it, up to MaxBatch, and nothing waits for a request that
+// has not arrived. The test holds the substrate lock while the first batch
+// waits for it, so the backlog behind that batch forms deterministically.
+func TestBatchCollect(t *testing.T) {
 	cases := []struct {
-		name       string
-		maxBatch   int
-		maxWait    time.Duration
-		timeout    time.Duration // 0 = default (1s, unreachable on the fake clock here)
-		submit     int
-		advance    time.Duration // 0 = no clock movement needed
-		wantReason string
-		wantSize   int
-		wantErr    error
+		name     string
+		maxBatch int
+		backlog  int   // requests queued while the first batch waits for the lock
+		want     []int // batch sizes, in order
 	}{
-		{
-			name:     "fires on size",
-			maxBatch: 3, maxWait: time.Hour,
-			submit:     3,
-			wantReason: "size", wantSize: 3,
-		},
-		{
-			name:     "fires on deadline with partial batch",
-			maxBatch: 8, maxWait: 5 * time.Millisecond,
-			submit:     2,
-			advance:    5 * time.Millisecond,
-			wantReason: "deadline", wantSize: 2,
-		},
-		{
-			name:     "deadline exceeded answers with timeout error",
-			maxBatch: 8, maxWait: 50 * time.Millisecond,
-			timeout:    10 * time.Millisecond,
-			submit:     1,
-			advance:    50 * time.Millisecond,
-			wantReason: "deadline", wantSize: 1,
-			wantErr: ErrDeadlineExceeded,
-		},
+		{"lone request served at once", 8, 0, []int{1}},
+		{"backlog coalesced", 8, 3, []int{1, 3}},
+		{"MaxBatch caps a batch", 2, 5, []int{1, 2, 2, 1}},
+		{"MaxBatch 1", 1, 2, []int{1, 1, 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fc := obs.NewFakeClock(0)
-			e := NewEngine(testModelSoft(1), testInSize, Config{
-				MaxBatch: tc.maxBatch,
-				MaxWait:  tc.maxWait,
-				Timeout:  tc.timeout,
-				Clock:    fc,
-			})
+			e := NewEngine(testModelSoft(1), testInSize, Config{MaxBatch: tc.maxBatch, Clock: obs.NewFakeClock(0)})
 			defer e.Close()
-			events := make(chan batchEvent, 16)
-			e.batchHook = func(size int, reason string) { events <- batchEvent{size, reason} }
+			sizes := make(chan int, 1+tc.backlog) // at most one batch per request
+			e.batchHook = func(size int) { sizes <- size }
 
 			rng := xrand.New(2)
-			chans := make([]<-chan Response, tc.submit)
-			for i := range chans {
-				ch, err := e.Submit(&Request{X: randSample(rng)})
-				if err != nil {
-					t.Fatalf("Submit %d: %v", i, err)
+			var chans []<-chan Response
+			var got []int
+			func() {
+				e.mu.Lock()
+				defer e.mu.Unlock()
+				chans = append(chans, submitOne(t, e, rng))
+				got = append(got, recvWithin(t, sizes, "first batch"))
+				for i := 0; i < tc.backlog; i++ {
+					chans = append(chans, submitOne(t, e, rng))
 				}
-				chans[i] = ch
-			}
-			if tc.advance > 0 {
-				// The executor arms its max-wait timer after dequeuing the
-				// first request; advancing before that arm would lose the
-				// tick.
-				fc.AwaitTimers(1)
-				fc.Advance(tc.advance.Nanoseconds())
-			}
-
-			select {
-			case ev := <-events:
-				if ev.reason != tc.wantReason || ev.size != tc.wantSize {
-					t.Errorf("batch fired (%d, %q), want (%d, %q)", ev.size, ev.reason, tc.wantSize, tc.wantReason)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("no batch fired")
-			}
+			}()
 			for i, ch := range chans {
-				select {
-				case resp := <-ch:
-					if !errors.Is(resp.Err, tc.wantErr) {
-						t.Errorf("response %d error = %v, want %v", i, resp.Err, tc.wantErr)
-					}
-					if tc.wantErr == nil && (resp.Class < 0 || resp.Class >= testClasses) {
-						t.Errorf("response %d class = %d out of range", i, resp.Class)
-					}
-				case <-time.After(5 * time.Second):
-					t.Fatalf("response %d never arrived", i)
+				if r := recvWithin(t, ch, "response"); r.Err != nil || r.Class < 0 || r.Class >= testClasses {
+					t.Errorf("response %d = (class %d, err %v), want a class in [0,%d)", i, r.Class, r.Err, testClasses)
 				}
+			}
+			// Every batch fired its hook before answering, so all sizes
+			// are buffered by now.
+			for len(sizes) > 0 {
+				got = append(got, <-sizes)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("batch sizes %v, want %v", got, tc.want)
 			}
 		})
 	}
 }
 
-// TestMaxBatchOneSkipsTimer pins the degenerate configuration: MaxBatch 1
-// must fire immediately on size without arming a wait timer (a fake clock
-// that nobody advances would otherwise stall serving).
-func TestMaxBatchOneSkipsTimer(t *testing.T) {
+// TestBatchDeadline pins the per-request deadline: a request still queued
+// when its deadline passes is answered with ErrDeadlineExceeded, while the
+// batch ahead of it, whose clock read came before the clock moved, is
+// served.
+func TestBatchDeadline(t *testing.T) {
+	const timeout = 10 * time.Millisecond
 	fc := obs.NewFakeClock(0)
-	e := NewEngine(testModelSoft(1), testInSize, Config{MaxBatch: 1, Clock: fc})
+	e := NewEngine(testModelSoft(1), testInSize, Config{Timeout: timeout, Clock: fc})
 	defer e.Close()
-	events := make(chan batchEvent, 1)
-	e.batchHook = func(size int, reason string) { events <- batchEvent{size, reason} }
+	sizes := make(chan int, 2)
+	e.batchHook = func(size int) { sizes <- size }
 
-	resp := e.Infer(&Request{X: randSample(xrand.New(3))})
-	if resp.Err != nil {
-		t.Fatalf("Infer: %v", resp.Err)
+	rng := xrand.New(3)
+	var served, late <-chan Response
+	func() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		served = submitOne(t, e, rng)
+		recvWithin(t, sizes, "first batch")
+		late = submitOne(t, e, rng)
+		fc.Advance(timeout.Nanoseconds() + 1)
+	}()
+	if r := recvWithin(t, served, "served response"); r.Err != nil {
+		t.Errorf("request within its deadline: %v", r.Err)
 	}
-	ev := <-events
-	if ev.reason != "size" || ev.size != 1 {
-		t.Errorf("batch fired (%d, %q), want (1, size)", ev.size, ev.reason)
+	if r := recvWithin(t, late, "late response"); !errors.Is(r.Err, ErrDeadlineExceeded) {
+		t.Errorf("request queued past its deadline: err = %v, want ErrDeadlineExceeded", r.Err)
 	}
 }

@@ -28,6 +28,14 @@ const CanonicalCampaign = "burst@40ms:frac=0.05,sa0=0.5;" +
 // accuracy is back within this many points of its pre-fault value.
 const RecoveryMargin = 0.02
 
+// The chaos scenario's drive cadence and length on the campaign clock:
+// each tick advances the clock, probes accuracy, then runs one repair
+// pass, until the horizon.
+const (
+	chaosTick    = 20 * time.Millisecond
+	chaosHorizon = 240 * time.Millisecond
+)
+
 // ChaosScenarioConfig sizes the deterministic chaos-campaign scenario:
 // train the repair scenario's model, serve it, run a scheduled fault
 // campaign against the live engine while repair passes race the damage,
@@ -39,11 +47,6 @@ type ChaosScenarioConfig struct {
 	Base ScenarioConfig
 	// Campaign is the fault schedule driven against the engine.
 	Campaign chaos.Schedule
-	// Tick is the drive cadence: each tick advances the campaign clock,
-	// probes accuracy, then runs one repair pass (default 20ms).
-	Tick time.Duration
-	// Horizon is the total simulated campaign time (default 240ms).
-	Horizon time.Duration
 }
 
 // DefaultChaosScenarioConfig returns the canonical chaos scenario: the
@@ -56,8 +59,6 @@ func DefaultChaosScenarioConfig(seed int64) ChaosScenarioConfig {
 	return ChaosScenarioConfig{
 		Base:     base,
 		Campaign: chaos.MustParse(CanonicalCampaign),
-		Tick:     20 * time.Millisecond,
-		Horizon:  240 * time.Millisecond,
 	}
 }
 
@@ -115,15 +116,6 @@ func RunChaosScenario(cfg ChaosScenarioConfig) *ChaosScenarioResult {
 // the campaign either way.
 func ChaosPhases(m *core.Model, ds *dataset.Dataset, cfg ChaosScenarioConfig) *ChaosScenarioResult {
 	base := cfg.Base
-	tick := cfg.Tick
-	if tick <= 0 {
-		tick = 20 * time.Millisecond
-	}
-	horizon := cfg.Horizon
-	if horizon <= 0 {
-		horizon = 240 * time.Millisecond
-	}
-
 	e := NewEngine(m, ds.InSize(), base.Serve)
 	clk := e.cfg.Clock
 	rng := xrand.Derive(base.Seed, "chaos-scenario")
@@ -147,8 +139,8 @@ func ChaosPhases(m *core.Model, ds *dataset.Dataset, cfg ChaosScenarioConfig) *C
 	band := res.PreFault - RecoveryMargin
 	var dentAt, recoverAt int64 = -1, -1
 	origin := clk.Now()
-	for elapsed := tick; elapsed <= horizon; elapsed += tick {
-		advance(tick)
+	for elapsed := chaosTick; elapsed <= chaosHorizon; elapsed += chaosTick {
+		advance(chaosTick)
 		now := clk.Now()
 		ce.RunUntil(now)
 		acc := e.AccuracyBatched(ds.TestX, ds.TestY)

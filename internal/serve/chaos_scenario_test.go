@@ -16,14 +16,12 @@ import (
 // chaosGoldenRun executes one full canonical-campaign run from a fresh
 // trained model on a fresh fake clock and returns the journal bytes plus
 // the result. Determinism comes from the fake clock (the campaign engine
-// is driven synchronously on it), MaxBatch 1 (no MaxWait timer for the
-// fake clock to starve — saturation junk drains request by request),
-// single-worker tensor kernels, and a tick journal clock.
+// is driven synchronously on it), single-worker tensor kernels, and a
+// tick journal clock.
 func chaosGoldenRun(t *testing.T) ([]byte, *ChaosScenarioResult) {
 	t.Helper()
 	cfg := DefaultChaosScenarioConfig(11)
 	cfg.Base.Serve.Clock = obs.NewFakeClock(0)
-	cfg.Base.Serve.MaxBatch = 1
 	m, ds := TrainScenarioModel(cfg.Base)
 
 	var buf bytes.Buffer

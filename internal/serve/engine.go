@@ -7,10 +7,11 @@
 // use — even the read path reuses buffers and, during maintenance,
 // consumes RNG state):
 //
-//   - A bounded request queue feeds exactly one batch-executor goroutine,
-//     which coalesces single-sample requests into micro-batches (fire on
-//     MaxBatch, or on MaxWait expiring) and runs each batched forward pass
-//     under the substrate mutex.
+//   - A bounded request queue feeds exactly one batch-executor goroutine.
+//     It takes each request together with whatever is already queued
+//     behind it, up to MaxBatch, and runs that micro-batch as one forward
+//     pass under the substrate mutex. It never waits for requests that
+//     have not arrived, so a lone request is served at once.
 //   - Exactly one maintenance goroutine runs repair passes. A pass never
 //     holds the mutex end to end: it takes the lock once per *step* (one
 //     store's detection, one boundary's re-mapping, one store's
@@ -90,12 +91,9 @@ var (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// MaxBatch is the largest number of requests coalesced into one
-	// batched forward pass (default 8).
+	// MaxBatch is the largest number of queued requests one batched
+	// forward pass takes (default 8).
 	MaxBatch int
-	// MaxWait bounds how long an open batch waits for further requests
-	// before firing partially filled (default 2ms).
-	MaxWait time.Duration
 	// QueueCap bounds the request queue. Submit fails fast with
 	// ErrOverloaded when the queue is full — backpressure instead of
 	// unbounded buffering (default 64).
@@ -105,15 +103,15 @@ type Config struct {
 	// ErrDeadlineExceeded instead of being served stale (default 1s;
 	// negative disables deadlines).
 	Timeout time.Duration
-	// Clock drives the batching and maintenance timers; nil selects the
-	// wall clock. Tests inject obs.NewFakeClock to make batching
-	// decisions deterministic.
+	// Clock stamps requests for their deadlines and latencies and drives
+	// the maintenance timer; nil selects the wall clock. Tests inject
+	// obs.NewFakeClock to make deadline decisions deterministic.
 	Clock obs.Clock
 }
 
 // DefaultConfig returns the serving defaults documented on Config.
 func DefaultConfig() Config {
-	return Config{MaxBatch: 8, MaxWait: 2 * time.Millisecond, QueueCap: 64, Timeout: time.Second}
+	return Config{MaxBatch: 8, QueueCap: 64, Timeout: time.Second}
 }
 
 // WithDefaults fills zero fields from DefaultConfig (the same
@@ -123,9 +121,6 @@ func (c Config) WithDefaults() Config {
 	d := DefaultConfig()
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = d.MaxBatch
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = d.MaxWait
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = d.QueueCap
@@ -215,10 +210,10 @@ type Engine struct {
 	// skipped.
 	stallUntil atomic.Int64
 
-	// batchHook (test seam) observes every batch decision: reason is
-	// "size" (MaxBatch reached), "deadline" (MaxWait expired) or "drain"
-	// (engine closing).
-	batchHook func(size int, reason string)
+	// batchHook (test seam) observes the size of every batch the executor
+	// runs. It fires after the batch's clock read and before its forward
+	// pass takes the substrate lock.
+	batchHook func(size int)
 	// repairStepHook (test seam) runs after each repair step releases the
 	// substrate lock — the interleaving point the latency bound relies on.
 	repairStepHook func(step int)
@@ -423,58 +418,31 @@ func (e *Engine) dequeued() {
 	}
 }
 
-// fired reports a batch decision to the test seam.
-func (e *Engine) fired(reason string, size int) {
-	if e.batchHook != nil {
-		e.batchHook(size, reason)
-	}
-}
-
-// collect assembles a batch starting from first. It fires when MaxBatch
-// requests have arrived ("size"), when MaxWait expires ("deadline"), or
-// when the engine is closing ("drain"). Requests already sitting in the
-// queue when the deadline fires are still taken: the deadline bounds
-// waiting for future requests, not work that is already here.
+// collect assembles a batch: first plus whatever is already queued behind
+// it, up to MaxBatch. It never waits for requests that have not arrived;
+// the backlog that forms while a batch holds the substrate lock is what
+// the next batch takes.
 func (e *Engine) collect(first *pending) []*pending {
 	batch := append(e.collectBuf[:0], first)
-	if e.cfg.MaxBatch <= 1 {
-		e.fired("size", len(batch))
-		return batch
-	}
-	timer := e.cfg.Clock.After(e.cfg.MaxWait.Nanoseconds())
-	for {
+	for len(batch) < e.cfg.MaxBatch {
 		select {
 		case p := <-e.queue:
 			e.dequeued()
 			batch = append(batch, p)
-			if len(batch) >= e.cfg.MaxBatch {
-				e.fired("size", len(batch))
-				return batch
-			}
-		case <-timer:
-			for len(batch) < e.cfg.MaxBatch {
-				select {
-				case p := <-e.queue:
-					e.dequeued()
-					batch = append(batch, p)
-				default:
-					e.fired("deadline", len(batch))
-					return batch
-				}
-			}
-			e.fired("size", len(batch))
-			return batch
-		case <-e.done:
-			e.fired("drain", len(batch))
+		default:
 			return batch
 		}
 	}
+	return batch
 }
 
 // runBatch answers expired requests with ErrDeadlineExceeded, runs the
 // rest through one batched forward pass and completes their responses.
 func (e *Engine) runBatch(batch []*pending) {
 	now := e.cfg.Clock.Now()
+	if e.batchHook != nil {
+		e.batchHook(len(batch))
+	}
 	live := batch[:0]
 	for _, p := range batch {
 		if p.deadline > 0 && now > p.deadline {

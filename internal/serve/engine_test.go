@@ -19,7 +19,7 @@ func TestServingMatchesPredict(t *testing.T) {
 	x := randBatch(rng, 20)
 	want := m.Net.Predict(x) // before NewEngine: the engine owns the substrate after
 
-	e := NewEngine(m, testInSize, Config{MaxBatch: 4, MaxWait: 200 * time.Microsecond})
+	e := NewEngine(m, testInSize, Config{MaxBatch: 4})
 	defer e.Close()
 	for i := 0; i < x.Rows; i++ {
 		resp := e.Infer(&Request{X: append([]float64(nil), x.Row(i)...)})
@@ -127,7 +127,7 @@ func TestCloseDrainsQueue(t *testing.T) {
 // in-hook Infer below would deadlock instead.
 func TestRepairInterleavesWithServing(t *testing.T) {
 	m := testModelRCS(8, 0.10, fault.Unlimited())
-	e := NewEngine(m, testInSize, Config{MaxBatch: 2, MaxWait: 100 * time.Microsecond})
+	e := NewEngine(m, testInSize, Config{MaxBatch: 2})
 	defer e.Close()
 	rng := xrand.New(9)
 
@@ -256,7 +256,7 @@ func TestDrainResume(t *testing.T) {
 // TestQueueDepth pins the drain-completion signal: depth reflects queued
 // requests and returns to zero once the executor has taken them.
 func TestQueueDepth(t *testing.T) {
-	e := NewEngine(testModelSoft(9), testInSize, Config{MaxBatch: 2, MaxWait: 100 * time.Microsecond})
+	e := NewEngine(testModelSoft(9), testInSize, Config{MaxBatch: 2})
 	defer e.Close()
 	if d := e.QueueDepth(); d != 0 {
 		t.Fatalf("idle QueueDepth = %d, want 0", d)

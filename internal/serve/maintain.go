@@ -27,7 +27,7 @@ type RepairConfig struct {
 	// The -repair-policy flag wires this in rramft-serve.
 	Policy repair.Policy
 	// Config is the stage configuration shared with the repair layer
-	// (detection, re-mapping, restore tolerances…). Its fields promote:
+	// (detection, re-mapping, restore…). Its fields promote:
 	// cfg.Detect, cfg.Oracle, cfg.Remap, cfg.Restore read and assign
 	// exactly as they did when they lived on RepairConfig directly.
 	repair.Config

@@ -10,6 +10,13 @@ import (
 	"rramft/internal/xrand"
 )
 
+// ScenarioRepairPasses is how many detect-repair iterations the scenario
+// drivers run after a burst before they measure the repaired accuracy. The
+// production maintenance loop fires continuously, and the first pass after
+// a burst works from the noisiest fault estimate; a second pass re-detects
+// on the partially repaired substrate and settles the placement.
+const ScenarioRepairPasses = 2
+
 // ScenarioConfig sizes the deterministic fault-burst-and-repair scenario:
 // train a small crossbar-backed MLP, serve it, strike it with a fault
 // burst mid-service, repair on-line, and measure accuracy at each phase.
@@ -32,13 +39,6 @@ type ScenarioConfig struct {
 	// verify-and-retry (mapping.StoreConfig.MaxWriteRetries). Zero keeps
 	// the historical plain-write path — the chaos scenario turns it on.
 	MaxWriteRetries int
-	// RepairPasses is how many detect-repair iterations run after the
-	// burst before the repaired accuracy is measured (default 2). The
-	// production maintenance loop fires continuously, and the first pass
-	// after a burst works from the noisiest fault estimate — a second
-	// pass re-detects on the partially repaired substrate and settles the
-	// placement.
-	RepairPasses int
 	// Serve configures the engine (inject a clock here for deterministic
 	// journals); Repair configures the repair pass.
 	Serve  Config
@@ -120,11 +120,7 @@ func ServeRepairPhases(m *core.Model, ds *dataset.Dataset, cfg ScenarioConfig) *
 	res.Degraded = e.AccuracyBatched(ds.TestX, ds.TestY)
 	emitPhase("degraded", res.Degraded, e)
 
-	passes := cfg.RepairPasses
-	if passes <= 0 {
-		passes = 2
-	}
-	for p := 0; p < passes; p++ {
+	for p := 0; p < ScenarioRepairPasses; p++ {
 		res.Stats.Add(e.RepairPass(cfg.Repair, rng))
 	}
 	res.Repaired = e.AccuracyBatched(ds.TestX, ds.TestY)

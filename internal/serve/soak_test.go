@@ -37,7 +37,6 @@ func TestServeSoak(t *testing.T) {
 	m := testModelRCS(31, 0.05, end)
 	e := NewEngine(m, testInSize, Config{
 		MaxBatch: 4,
-		MaxWait:  500 * time.Microsecond,
 		QueueCap: 32,
 		Timeout:  100 * time.Millisecond,
 	})

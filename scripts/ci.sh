@@ -103,6 +103,11 @@ go run ./cmd/rramft-bench -bench-verify BENCH.json
 # test run above already covers a ~400ms variant).
 RRAMFT_SOAK=5s go test -race -run '^TestServeSoak$' ./internal/serve/
 
+# The fake-clock batcher tests order the executor and the test through the
+# substrate lock and the batch hook; repeat them under the race detector so
+# a lost ordering shows up as a wrong batch size rather than a rare flake.
+go test -race -count=20 -run '^(TestBatchCollect|TestBatchDeadline)$' ./internal/serve/
+
 # Cluster chaos soak under the race detector: concurrent clients against a
 # 3-replica dispatcher with staggered per-replica fault bursts, background
 # maintenance and one forced rebuild mid-run (the plain test run above
