@@ -233,7 +233,7 @@ func BenchmarkCrossbarWrite(b *testing.B) {
 
 // BenchmarkCrossbarWriteInstrumented is the telemetry-ON counterpart of
 // BenchmarkCrossbarWrite — the harshest case for the obs gate, since a
-// single write is ~11ns and the guarded counter increment is a measurable
+// single write is ~11ns and the gated counter increment is a measurable
 // fraction of it. Because obs.EnableMetrics is sticky for the process,
 // this benchmark is declared last in the file: earlier benchmarks in the
 // same -bench run measure the disabled path.

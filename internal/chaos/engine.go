@@ -273,9 +273,7 @@ func step(s Store, fn func()) {
 // journal/counter trail. Callers hold e.mu.
 func (e *Engine) fire(idx int, ev Event, occ int, at int64) {
 	e.fired[ev.Kind]++
-	if obs.MetricsEnabled() {
-		cEvents.Inc()
-	}
+	cEvents.Inc()
 	offMS := float64(at-e.origin) / 1e6
 	switch ev.Kind {
 	case Burst:
@@ -287,9 +285,7 @@ func (e *Engine) fire(idx int, ev Event, occ int, at int64) {
 			injected += fm.CountFaulty()
 			step(s, func() { s.CB.InjectFaults(fm) })
 		}
-		if obs.MetricsEnabled() {
-			cBursts.Add(int64(injected))
-		}
+		cBursts.Add(int64(injected))
 		e.emit(Burst, offMS, float64(injected))
 	case Intermittent:
 		for si, s := range e.target.Stores {
@@ -307,9 +303,7 @@ func (e *Engine) fire(idx int, ev Event, occ int, at int64) {
 				})
 			}
 		}
-		if obs.MetricsEnabled() {
-			cDisturbs.Inc()
-		}
+		cDisturbs.Inc()
 		e.emit(Disturb, offMS, ev.Prob)
 	case WriteFail:
 		for _, s := range e.target.Stores {
@@ -322,9 +316,7 @@ func (e *Engine) fire(idx int, ev Event, occ int, at int64) {
 				})
 			}
 		}
-		if obs.MetricsEnabled() {
-			cWriteFails.Inc()
-		}
+		cWriteFails.Inc()
 		e.emit(WriteFail, offMS, ev.Prob)
 	case Drift:
 		changed := 0
@@ -332,9 +324,7 @@ func (e *Engine) fire(idx int, ev Event, occ int, at int64) {
 			s := s
 			step(s, func() { changed += s.CB.Drift(ev.Factor) })
 		}
-		if obs.MetricsEnabled() {
-			cDriftSteps.Inc()
-		}
+		cDriftSteps.Inc()
 		e.emit(Drift, offMS, float64(changed))
 	case Crash:
 		if e.target.Crash == nil {
@@ -342,9 +332,7 @@ func (e *Engine) fire(idx int, ev Event, occ int, at int64) {
 			return
 		}
 		e.target.Crash(ev.Replica)
-		if obs.MetricsEnabled() {
-			cCrashes.Inc()
-		}
+		cCrashes.Inc()
 		e.emit(Crash, offMS, float64(ev.Replica))
 	case Stall:
 		if e.target.Stall == nil {
@@ -352,9 +340,7 @@ func (e *Engine) fire(idx int, ev Event, occ int, at int64) {
 			return
 		}
 		e.target.Stall(ev.For)
-		if obs.MetricsEnabled() {
-			cStalls.Inc()
-		}
+		cStalls.Inc()
 		e.emit(Stall, offMS, ev.For.Seconds()*1e3)
 	case Saturate:
 		if e.target.Saturate == nil {
@@ -362,9 +348,7 @@ func (e *Engine) fire(idx int, ev Event, occ int, at int64) {
 			return
 		}
 		e.target.Saturate(ev.N)
-		if obs.MetricsEnabled() {
-			cSaturations.Inc()
-		}
+		cSaturations.Inc()
 		e.emit(Saturate, offMS, float64(ev.N))
 	}
 	if ev.Every > 0 && (ev.Count == 0 || occ+1 < ev.Count) {
@@ -375,9 +359,7 @@ func (e *Engine) fire(idx int, ev Event, occ int, at int64) {
 // skip records an event whose tier hook is absent on this target.
 func (e *Engine) skip() {
 	e.fired["skipped"]++
-	if obs.MetricsEnabled() {
-		cSkipped.Inc()
-	}
+	cSkipped.Inc()
 }
 
 // emit writes one chaos event to the journal (when one is active). The
@@ -458,9 +440,7 @@ func (e *Engine) flipOn(g *intermittentGroup, cycle int, at int64) {
 			}
 		}
 	})
-	if flips > 0 && obs.MetricsEnabled() {
-		cFlips.Add(int64(flips))
-	}
+	cFlips.Add(int64(flips))
 	if g.onFor >= g.period {
 		// Always-on duty: behaves as a permanent burst, no clear.
 		return
@@ -481,9 +461,7 @@ func (e *Engine) flipOff(g *intermittentGroup, cycle int, at, onsetAt int64) {
 			}
 		}
 	})
-	if flips > 0 && obs.MetricsEnabled() {
-		cFlips.Add(int64(flips))
-	}
+	cFlips.Add(int64(flips))
 	if g.cycles > 0 && cycle+1 >= g.cycles {
 		return
 	}

@@ -29,9 +29,7 @@ func (d *Dispatcher) Crash(i int) error {
 	r := d.replicas[i]
 	r.maintMu.Lock()
 	defer r.maintMu.Unlock()
-	if obs.MetricsEnabled() {
-		cCrashes.Inc()
-	}
+	cCrashes.Inc()
 	if obs.Enabled() {
 		obs.Emit("cluster/crash", map[string]float64{"replica": float64(i)})
 	}

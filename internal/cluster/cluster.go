@@ -223,9 +223,7 @@ func (d *Dispatcher) setState(i int, s State) {
 	d.mu.Lock()
 	d.router.setState(i, s)
 	d.mu.Unlock()
-	if obs.MetricsEnabled() {
-		d.replicas[i].metrics.state.Set(int64(s))
-	}
+	d.replicas[i].metrics.state.Set(int64(s))
 }
 
 // Submit routes one request to a replica and returns its response channel
@@ -244,9 +242,7 @@ func (d *Dispatcher) Submit(req *serve.Request) (<-chan serve.Response, error) {
 	}
 	out := make(chan serve.Response, 1)
 	if !d.dispatch(req, out, 0) {
-		if obs.MetricsEnabled() {
-			cRejectedAll.Inc()
-		}
+		cRejectedAll.Inc()
 		return nil, serve.ErrOverloaded
 	}
 	return out, nil
@@ -282,19 +278,15 @@ func (d *Dispatcher) dispatch(req *serve.Request, out chan<- serve.Response, att
 		d.mu.Unlock()
 		ch, err := eng.Submit(req)
 		if err != nil {
-			if obs.MetricsEnabled() {
-				cRedispatch.Inc()
-			}
+			cRedispatch.Inc()
 			if tried == nil {
 				tried = make(map[int]bool, len(d.replicas))
 			}
 			tried[i] = true
 			continue
 		}
-		if obs.MetricsEnabled() {
-			cRouted.Inc()
-			r.metrics.routed.Inc()
-		}
+		cRouted.Inc()
+		r.metrics.routed.Inc()
 		d.wg.Add(1)
 		go d.await(req, ch, out, attempt)
 		return true
@@ -311,9 +303,7 @@ func (d *Dispatcher) await(req *serve.Request, ch <-chan serve.Response, out cha
 	resp := <-ch
 	if resp.Err != nil && redispatchable(resp.Err) {
 		if attempt < maxRedispatch {
-			if obs.MetricsEnabled() {
-				cRedispatch.Inc()
-			}
+			cRedispatch.Inc()
 			if d.dispatch(req, out, attempt+1) {
 				return
 			}
@@ -366,7 +356,6 @@ func (d *Dispatcher) ProbeAll() []float64 {
 // updateSignals refreshes every replica's queue-fill and epoch-churn
 // signals and mirrors scores to their gauges.
 func (d *Dispatcher) updateSignals() {
-	metricsOn := obs.MetricsEnabled()
 	for i, r := range d.replicas {
 		d.mu.Lock()
 		eng := r.eng
@@ -377,9 +366,7 @@ func (d *Dispatcher) updateSignals() {
 		d.router.observeLoad(i, frac, epoch)
 		score := d.router.score(i)
 		d.mu.Unlock()
-		if metricsOn {
-			r.metrics.score.Set(int64(score * 1000))
-		}
+		r.metrics.score.Set(int64(score * 1000))
 	}
 }
 
@@ -389,9 +376,7 @@ func (d *Dispatcher) updateSignals() {
 func (d *Dispatcher) Drain(i int) {
 	d.engine(i).Drain()
 	d.setState(i, StateDraining)
-	if obs.MetricsEnabled() {
-		cDrains.Inc()
-	}
+	cDrains.Inc()
 	if obs.Enabled() {
 		obs.Emit("cluster/drain", map[string]float64{"replica": float64(i)})
 	}
@@ -401,9 +386,7 @@ func (d *Dispatcher) Drain(i int) {
 func (d *Dispatcher) Readmit(i int) {
 	d.engine(i).Resume()
 	d.setState(i, StateActive)
-	if obs.MetricsEnabled() {
-		cReadmits.Inc()
-	}
+	cReadmits.Inc()
 	if obs.Enabled() {
 		obs.Emit("cluster/readmit", map[string]float64{"replica": float64(i)})
 	}
@@ -453,9 +436,7 @@ func (d *Dispatcher) RepairReplica(i int) repair.Stats {
 	if !solo {
 		d.Readmit(i)
 	}
-	if obs.MetricsEnabled() {
-		cRepairs.Inc()
-	}
+	cRepairs.Inc()
 	if obs.Enabled() {
 		obs.Emit("cluster/repair", map[string]float64{
 			"replica":  float64(i),
@@ -498,9 +479,7 @@ func (d *Dispatcher) rebuild(r *replica) error {
 		d.setState(r.id, StateActive)
 		return err
 	}
-	if obs.MetricsEnabled() {
-		cRebuilds.Inc()
-	}
+	cRebuilds.Inc()
 	if obs.Enabled() {
 		obs.Emit("cluster/rebuild", map[string]float64{"replica": float64(r.id), "gen": float64(r.gen)})
 	}

@@ -259,7 +259,7 @@ func TestDegradedStreakTriggersRebuild(t *testing.T) {
 	})
 	// Make sure replica 0 really has kept weights on faults to leave
 	// un-repaired.
-	d.Engine(0).InjectFaultBurst(0.3, 0.5, fault.Uniform{}, xrand.New(12))
+	d.Engine(0).InjectFaultBurst(0.3, 0.5, xrand.New(12))
 
 	for pass := 1; pass < rebuildAfter; pass++ {
 		st := d.RepairReplica(0)

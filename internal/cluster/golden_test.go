@@ -25,9 +25,9 @@ import (
 // tests ran earlier in the process.
 func TestFailoverScenarioGolden(t *testing.T) {
 	t.Setenv(par.EnvWorkers, "1")
-	cfg := DefaultScenarioConfig(11)
-	cfg.Base.Serve.Clock = obs.NewFakeClock(0)
-	m, ds := serve.TrainScenarioModel(cfg.Base)
+	cfg := serve.DefaultScenarioConfig(11)
+	cfg.Serve.Clock = obs.NewFakeClock(0)
+	m, ds := serve.TrainScenarioModel(cfg)
 	image := CaptureImage(m)
 
 	var buf bytes.Buffer

@@ -5,7 +5,6 @@ import (
 
 	"rramft/internal/core"
 	"rramft/internal/dataset"
-	"rramft/internal/fault"
 	"rramft/internal/obs"
 	"rramft/internal/repair"
 	"rramft/internal/serve"
@@ -15,7 +14,7 @@ import (
 // The failover scenario's fixed shape: its cluster width, the requests in
 // each load phase, and the fabrication fault fraction of each fresh replica
 // substrate. That fraction is deliberately below the training substrate's
-// Base.FaultFrac: the scenario images weights trained elsewhere onto
+// FaultFrac: the scenario images weights trained elsewhere onto
 // screened replica arrays, and unlike fault-aware training, imaging cannot
 // adapt the weights to the target's faults.
 const (
@@ -23,25 +22,6 @@ const (
 	scenarioRequests  = 40
 	scenarioFaultFrac = 0.02
 )
-
-// ScenarioConfig sizes the deterministic replicated-failover scenario:
-// train one model, image its weights onto independent replica substrates,
-// then walk the cluster through a staggered fault burst, a drain-repair-
-// readmit cycle on the struck replica, and a forced rebuild of its peer —
-// all while closed-loop load keeps flowing and the conservation invariant
-// holds.
-type ScenarioConfig struct {
-	// Seed derives every random stream in the scenario.
-	Seed int64
-	// Base is the underlying single-engine scenario configuration (model
-	// shape, training run, burst severity, serve/repair configs).
-	Base serve.ScenarioConfig
-}
-
-// DefaultScenarioConfig returns the scenario defaults at the given seed.
-func DefaultScenarioConfig(seed int64) ScenarioConfig {
-	return ScenarioConfig{Seed: seed, Base: serve.DefaultScenarioConfig(seed)}
-}
 
 // ScenarioResult reports the accuracy trajectory of one failover scenario
 // run: per-replica probe accuracies at each phase, the per-phase load
@@ -88,17 +68,22 @@ func ScenarioDispatcher(base serve.ScenarioConfig, ds *dataset.Dataset, image *I
 	})
 }
 
-// FailoverPhases replicates an already-trained weight image and walks the
-// cluster through burst → drain → repair → readmit → rebuild with load
-// flowing at every step. Fully deterministic for a fixed config when
-// Base.Serve.Clock is a fake clock (single closed-loop client, no
+// FailoverPhases is the deterministic replicated-failover scenario. It
+// images an already-trained weight image onto independent replica
+// substrates, then walks the cluster through a staggered fault burst, a
+// drain-repair-readmit cycle on the struck replica and a forced rebuild of
+// its peer, with load flowing at every step and the conservation invariant
+// holding. cfg is the single-engine scenario's configuration: its Seed
+// derives every random stream, and it supplies the burst severity and the
+// serve/repair configs. Fully deterministic for a fixed config when
+// cfg.Serve.Clock is a fake clock (single closed-loop client, no
 // timeouts). Each phase is journaled as a "cluster_phase" point when a
 // journal is active. Training is left to the caller
 // (serve.TrainScenarioModel, then CaptureImage), exactly like
 // serve.ServeRepairPhases, so the golden test can start its journal after
 // training and pin only the cluster phases.
-func FailoverPhases(image *Image, ds *dataset.Dataset, cfg ScenarioConfig) (*ScenarioResult, error) {
-	rc := cfg.Base
+func FailoverPhases(image *Image, ds *dataset.Dataset, cfg serve.ScenarioConfig) (*ScenarioResult, error) {
+	rc := cfg
 	rc.FaultFrac = scenarioFaultFrac
 	d, err := ScenarioDispatcher(rc, ds, image, scenarioReplicas)
 	if err != nil {
@@ -112,7 +97,7 @@ func FailoverPhases(image *Image, ds *dataset.Dataset, cfg ScenarioConfig) (*Sce
 	// The burst strikes replica 0 only — staggered faults, the failover
 	// case — while load keeps flowing across the cluster.
 	rng := xrand.Derive(cfg.Seed, "cluster-scenario")
-	d.Engine(0).InjectFaultBurst(cfg.Base.BurstFrac, cfg.Base.BurstSA0, fault.Uniform{}, rng)
+	d.Engine(0).InjectFaultBurst(cfg.BurstFrac, cfg.BurstSA0, rng)
 	res.Degraded = d.ProbeAll()
 	emitPhase("degraded", res.Degraded)
 	res.Loads = append(res.Loads, loadPhase(d, ds))

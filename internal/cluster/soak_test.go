@@ -72,7 +72,7 @@ func TestClusterSoak(t *testing.T) {
 		go func() {
 			defer chaos.Done()
 			time.Sleep(time.Duration(i+1) * dur / 5)
-			d.Engine(i).InjectFaultBurst(0.05, 0.5, fault.Uniform{}, xrand.New(42+int64(i)))
+			d.Engine(i).InjectFaultBurst(0.05, 0.5, xrand.New(42+int64(i)))
 		}()
 	}
 	chaos.Add(1)

@@ -325,10 +325,8 @@ func SaveCheckpoint(path string, ck *Checkpoint) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	if obs.MetricsEnabled() {
-		cCheckpointSaves.Inc()
-		cCheckpointBytes.Add(cw.n)
-	}
+	cCheckpointSaves.Inc()
+	cCheckpointBytes.Add(cw.n)
 	return nil
 }
 

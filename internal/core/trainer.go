@@ -18,8 +18,8 @@ import (
 // Registry counters for the training loop (DESIGN.md §10): iteration and
 // maintenance-phase progress, plus the aggregated detection confusion so
 // the journal shows detection quality (the paper's precision/recall
-// argument, §6.1) accumulating phase over phase. Bumped only when
-// obs.MetricsEnabled().
+// argument, §6.1) accumulating phase over phase. Like every obs
+// instrument they move only while metrics are on.
 var (
 	cIters          = obs.NewCounter("core.train_iters")
 	cMaintainPhases = obs.NewCounter("core.maintain_phases")
@@ -231,9 +231,7 @@ func (s *session) run() *RunResult {
 		m.Net.ZeroGrads()
 		m.Net.Backward(s.loss.Grad(by))
 		s.opt.Step(m.Net.Params())
-		if obs.MetricsEnabled() {
-			cIters.Inc()
-		}
+		cIters.Inc()
 
 		if cfg.LRDecay > 0 && cfg.LRDecay != 1 && cfg.DecayEvery > 0 && it%cfg.DecayEvery == 0 {
 			s.opt.LR *= cfg.LRDecay
@@ -310,9 +308,7 @@ func (s *session) run() *RunResult {
 func maintain(m *Model, cfg TrainConfig, res *RunResult, phase int, rng *xrand.Stream) {
 	mSpan := obs.Span("maintain")
 	defer mSpan.End()
-	if obs.MetricsEnabled() {
-		cMaintainPhases.Inc()
-	}
+	cMaintainPhases.Inc()
 	pol := cfg.RepairPolicy
 	if pol == nil {
 		pol = repair.Paper{}
@@ -335,11 +331,9 @@ func maintain(m *Model, cfg TrainConfig, res *RunResult, phase int, rng *xrand.S
 		OnDetect: func(b *repair.Binding, dres *detect.Result) {
 			score := detect.Score(dres.Pred, b.Store.Crossbar().FaultMap())
 			res.DetectionScore.Add(score)
-			if obs.MetricsEnabled() {
-				cDetectTP.Add(int64(score.TP))
-				cDetectFP.Add(int64(score.FP))
-				cDetectFN.Add(int64(score.FN))
-			}
+			cDetectTP.Add(int64(score.TP))
+			cDetectFP.Add(int64(score.FP))
+			cDetectFN.Add(int64(score.FN))
 			if obs.Enabled() {
 				obs.Emit("detect_score", map[string]float64{
 					"phase":  float64(phase),

@@ -37,7 +37,8 @@ import (
 // Registry counters for the paper's test-time cost metric (§4.2, DESIGN.md
 // §10): detection phases run and total comparison cycles consumed, so a
 // journal shows the detection overhead accumulating against write traffic
-// during a run. Bumped only when obs.MetricsEnabled().
+// during a run. Like every obs instrument they move only while metrics are
+// on.
 var (
 	cRuns   = obs.NewCounter("detect.runs")
 	cCycles = obs.NewCounter("detect.cycles")
@@ -176,10 +177,8 @@ func Run(cb *rram.Crossbar, cfg Config) *Result {
 
 	res.TestTime = maxInt(t0, t1)
 	res.CyclesTotal = t0 + t1
-	if obs.MetricsEnabled() {
-		cRuns.Inc()
-		cCycles.Add(int64(res.CyclesTotal))
-	}
+	cRuns.Inc()
+	cCycles.Add(int64(res.CyclesTotal))
 	return res
 }
 

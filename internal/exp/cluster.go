@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rramft/internal/cluster"
-	"rramft/internal/fault"
 	"rramft/internal/metrics"
 	"rramft/internal/serve"
 	"rramft/internal/xrand"
@@ -30,7 +29,7 @@ func ClusterReplicas(scale Scale, seed int64) *Report {
 	}
 	m, ds := serve.TrainScenarioModel(base)
 	image := cluster.CaptureImage(m)
-	// Replica substrates are screened arrays (see cluster.ScenarioConfig):
+	// Replica substrates are screened arrays (as in cluster.FailoverPhases):
 	// imaging cannot adapt weights to the target's faults the way
 	// fault-aware training did on the training substrate.
 	rc := base
@@ -68,13 +67,13 @@ func ClusterReplicas(scale Scale, seed int64) *Report {
 		}
 
 		record(0)
-		d.Engine(0).InjectFaultBurst(rc.BurstFrac, rc.BurstSA0, fault.Uniform{}, rng)
+		d.Engine(0).InjectFaultBurst(rc.BurstFrac, rc.BurstSA0, rng)
 		record(1)
 		d.RepairReplica(0)
 		record(2)
 		// The staggered second strike lands on the other end of the
 		// cluster (on the same replica when there is only one).
-		d.Engine(last).InjectFaultBurst(rc.BurstFrac, rc.BurstSA0, fault.Uniform{}, rng)
+		d.Engine(last).InjectFaultBurst(rc.BurstFrac, rc.BurstSA0, rng)
 		record(3)
 		d.RepairReplica(last)
 		record(4)

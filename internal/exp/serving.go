@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"rramft/internal/fault"
 	"rramft/internal/metrics"
 	"rramft/internal/serve"
 	"rramft/internal/xrand"
@@ -68,7 +67,7 @@ func ServingUnderFaults(scale Scale, seed int64) *Report {
 	results := make([]*serve.LoadResult, 0, len(phases))
 	results = append(results, serve.RunLoad(e, load))
 
-	e.InjectFaultBurst(cfg.BurstFrac, cfg.BurstSA0, fault.Uniform{}, rng)
+	e.InjectFaultBurst(cfg.BurstFrac, cfg.BurstSA0, rng)
 	results = append(results, serve.RunLoad(e, load))
 
 	if err := e.StartMaintenance(cfg.Repair, rng); err != nil {

@@ -44,8 +44,8 @@ import (
 // Registry counters for the maintenance-phase overheads the paper prices
 // in §5.2–§6.4 (DESIGN.md §9): how often re-mapping installs a new
 // permutation, how many re-programming writes the moves cost, and how
-// many cells pruning drives to zero conductance. Bumped only when
-// obs.MetricsEnabled().
+// many cells pruning drives to zero conductance. Like every obs
+// instrument they move only while metrics are on.
 var (
 	cRowPermInstalls = obs.NewCounter("mapping.row_perm_installs")
 	cColPermInstalls = obs.NewCounter("mapping.col_perm_installs")
@@ -188,9 +188,7 @@ func (s *CrossbarStore) Read() *tensor.Dense {
 	if s.readValid && s.readGen == s.cb.Gen() {
 		return s.readBuf
 	}
-	if obs.MetricsEnabled() {
-		cReadRebuilds.Inc()
-	}
+	cReadRebuilds.Inc()
 	s.rebuild(s.readBuf)
 	s.readGen, s.readValid = s.cb.Gen(), true
 	return s.readBuf
@@ -298,9 +296,7 @@ func (s *CrossbarStore) SetPruneMask(m *prune.Mask) {
 			s.keep[li] = m.Keep[li]
 			if newly && s.cb.ProgrammedLevel(pr, s.colPerm[j]) > tol {
 				s.cb.Write(pr, s.colPerm[j], 0)
-				if obs.MetricsEnabled() {
-					cPruneWrites.Inc()
-				}
+				cPruneWrites.Inc()
 			}
 		}
 	}
@@ -399,9 +395,7 @@ func (s *CrossbarStore) SetColPerm(perm []int) int {
 	if len(perm) != s.cols || !remap.IsPermutation(perm) {
 		panic(fmt.Sprintf("mapping: invalid column permutation for %s", s.name))
 	}
-	if obs.MetricsEnabled() {
-		cColPermInstalls.Inc()
-	}
+	cColPermInstalls.Inc()
 	eff := tensor.NewDense(s.rows, s.cols)
 	s.rebuild(eff)
 	copy(s.colPerm, perm)
@@ -414,9 +408,7 @@ func (s *CrossbarStore) SetRowPerm(perm []int) int {
 	if len(perm) != s.rows || !remap.IsPermutation(perm) {
 		panic(fmt.Sprintf("mapping: invalid row permutation for %s", s.name))
 	}
-	if obs.MetricsEnabled() {
-		cRowPermInstalls.Inc()
-	}
+	cRowPermInstalls.Inc()
 	eff := tensor.NewDense(s.rows, s.cols)
 	s.rebuild(eff)
 	copy(s.rowPerm, perm)
@@ -447,9 +439,7 @@ func (s *CrossbarStore) reprogram(eff []float64) int {
 			}
 		}
 	}
-	if writes > 0 && obs.MetricsEnabled() {
-		cRemapWrites.Add(int64(writes))
-	}
+	cRemapWrites.Add(int64(writes))
 	return writes
 }
 

@@ -64,9 +64,7 @@ func (s *CrossbarStore) RetestEstimatedFaults(deltaLevels float64) int {
 			}
 		}
 	}
-	if cleared > 0 && obs.MetricsEnabled() {
-		cRetestCleared.Add(int64(cleared))
-	}
+	cRetestCleared.Add(int64(cleared))
 	return cleared
 }
 
@@ -173,8 +171,6 @@ func (s *CrossbarStore) RestoreReference(ref *tensor.Dense, tolLevels float64) i
 			writes++
 		}
 	}
-	if writes > 0 && obs.MetricsEnabled() {
-		cRestoreWrites.Add(int64(writes))
-	}
+	cRestoreWrites.Add(int64(writes))
 	return writes
 }

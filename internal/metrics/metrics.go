@@ -159,40 +159,3 @@ func (t *Table) Render() string {
 	}
 	return b.String()
 }
-
-// CSV renders the table as comma-separated values with an x column and one
-// column per series (empty cells for missing points) — convenient for
-// external plotting.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString("x")
-	for _, s := range t.Series {
-		b.WriteByte(',')
-		b.WriteString(s.Name)
-	}
-	b.WriteByte('\n')
-	var xs []float64
-	seen := map[float64]bool{}
-	for _, s := range t.Series {
-		for _, x := range s.X {
-			if !seen[x] {
-				seen[x] = true
-				xs = append(xs, x)
-			}
-		}
-	}
-	for _, x := range xs {
-		fmt.Fprintf(&b, "%g", x)
-		for _, s := range t.Series {
-			b.WriteByte(',')
-			for i, sx := range s.X {
-				if sx == x {
-					fmt.Fprintf(&b, "%g", s.Y[i])
-					break
-				}
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

@@ -123,17 +123,3 @@ func TestTableDecimalControl(t *testing.T) {
 		t.Error("Decimal not honoured")
 	}
 }
-
-func TestTableCSV(t *testing.T) {
-	a := &Series{Name: "a"}
-	a.Append(1, 0.5)
-	a.Append(2, 0.75)
-	b := &Series{Name: "b"}
-	b.Append(1, 0.25)
-	tab := &Table{Title: "csv", XLabel: "x", Series: []*Series{a, b}}
-	got := tab.CSV()
-	want := "x,a,b\n1,0.5,0.25\n2,0.75,\n"
-	if got != want {
-		t.Errorf("CSV = %q, want %q", got, want)
-	}
-}

@@ -174,13 +174,3 @@ func (n *Network) Accuracy(x *tensor.Dense, labels []int) float64 {
 	}
 	return float64(correct) / float64(len(labels))
 }
-
-// NumWeights returns the total number of trainable scalar weights.
-func (n *Network) NumWeights() int {
-	total := 0
-	for _, p := range n.Params() {
-		r, c := p.Store.Shape()
-		total += r * c
-	}
-	return total
-}

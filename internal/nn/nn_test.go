@@ -190,18 +190,6 @@ func TestUpdatePolicyCanVetoWrites(t *testing.T) {
 	}
 }
 
-func TestNumWeights(t *testing.T) {
-	rng := xrand.New(13)
-	net := NewNetwork(
-		NewDenseHe("fc1", 10, 4, rng),
-		NewDenseHe("fc2", 4, 2, rng),
-	)
-	want := 10*4 + 4 + 4*2 + 2 // weights + biases
-	if got := net.NumWeights(); got != want {
-		t.Errorf("NumWeights = %d, want %d", got, want)
-	}
-}
-
 func TestAccuracyBounds(t *testing.T) {
 	rng := xrand.New(14)
 	net := NewNetwork(NewDenseHe("fc", 3, 2, rng))

@@ -9,10 +9,12 @@
 //   - Typed metrics (Counter, Gauge, Histogram) registered by name in a
 //     process-wide Registry. Instrumented packages declare their metrics
 //     as package-level vars (e.g. rram counts physical writes and
-//     wear-outs, par tracks in-flight work blocks) and bump them on hot
-//     paths behind a MetricsEnabled check, so a run with telemetry
+//     wear-outs, par tracks in-flight work blocks) and update them on hot
+//     paths unconditionally: every update checks the sticky metrics flag
+//     itself and does nothing while it is off, so a run with telemetry
 //     disabled pays one atomic load and a predictable branch per site —
-//     no allocation, no lock.
+//     no allocation, no lock. A call site reads MetricsEnabled only to
+//     skip work done solely to compute an observed value.
 //
 //   - Spans and a JSONL run journal. Journal/Open start a journal whose
 //     first line is a Header (command, seed, configuration); Span then

@@ -8,15 +8,15 @@ import (
 	"sync/atomic"
 )
 
-// metricsOn gates the hot-path increment sites. It is sticky: starting a
-// journal, serving the debug endpoints or calling EnableMetrics turns
-// collection on for the remainder of the process. Disabled is the zero
-// state, so an uninstrumented run pays only the atomic load per site.
+// metricsOn gates every Counter, Gauge and Histogram update. It is sticky:
+// starting a journal, serving the debug endpoints or calling EnableMetrics
+// turns collection on for the remainder of the process. Disabled is the
+// zero state, so an uninstrumented run pays one atomic load per update.
 var metricsOn atomic.Bool
 
-// MetricsEnabled reports whether metric collection is on. Hot paths guard
-// their counter updates with it so the telemetry-off cost is one atomic
-// load and a predictable branch — no atomic read-modify-write traffic.
+// MetricsEnabled reports whether metric collection is on. Instrument
+// updates check it themselves, so call sites need it only to skip work
+// done solely to compute an observed value (a clock read, say).
 func MetricsEnabled() bool { return metricsOn.Load() }
 
 // EnableMetrics turns metric collection on for the rest of the process.
@@ -32,18 +32,29 @@ type Counter struct {
 // Name returns the counter's registry name.
 func (c *Counter) Name() string { return c.name }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+// Inc adds one while metrics are on.
+func (c *Counter) Inc() {
+	if metricsOn.Load() {
+		c.v.Add(1)
+	}
+}
 
-// Add adds n (n must be non-negative for the journal's delta arithmetic
-// to stay meaningful; this is not checked on the hot path).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
+// Add adds n while metrics are on (n must be non-negative for the
+// journal's delta arithmetic to stay meaningful; this is not checked on
+// the hot path).
+func (c *Counter) Add(n int64) {
+	if metricsOn.Load() {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is an instantaneous level (queue depth, bytes in flight), safe
-// for concurrent use from any goroutine.
+// for concurrent use from any goroutine. Updates made while metrics are
+// off are dropped, so a gauge moved by paired Adds (+1 on entry, −1 on
+// exit) is off by the pairs in flight at the moment metrics turned on.
 type Gauge struct {
 	name string
 	v    atomic.Int64
@@ -52,11 +63,20 @@ type Gauge struct {
 // Name returns the gauge's registry name.
 func (g *Gauge) Name() string { return g.name }
 
-// Set replaces the current value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
+// Set replaces the current value while metrics are on.
+func (g *Gauge) Set(v int64) {
+	if metricsOn.Load() {
+		g.v.Store(v)
+	}
+}
 
-// Add moves the current value by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
+// Add moves the current value by delta (negative to decrease) while
+// metrics are on.
+func (g *Gauge) Add(delta int64) {
+	if metricsOn.Load() {
+		g.v.Add(delta)
+	}
+}
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -75,8 +95,16 @@ type Histogram struct {
 // Name returns the histogram's registry name.
 func (h *Histogram) Name() string { return h.name }
 
-// Observe records one sample. Negative samples are clamped to zero.
+// Observe records one sample while metrics are on. Negative samples are
+// clamped to zero.
 func (h *Histogram) Observe(v int64) {
+	if metricsOn.Load() {
+		h.observe(v)
+	}
+}
+
+// observe is Observe's body, kept apart so the gate stays inlinable.
+func (h *Histogram) observe(v int64) {
 	if v < 0 {
 		v = 0
 	}

@@ -10,7 +10,16 @@ import (
 	"testing"
 )
 
+// setMetrics sets the sticky metrics flag for one test and restores the
+// previous value when the test ends.
+func setMetrics(t *testing.T, on bool) {
+	prev := metricsOn.Load()
+	metricsOn.Store(on)
+	t.Cleanup(func() { metricsOn.Store(prev) })
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
+	setMetrics(t, true)
 	r := NewRegistry()
 	c := r.Counter("t.counter")
 	c.Inc()
@@ -48,6 +57,7 @@ func TestRegistryTypeCollisionPanics(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
+	setMetrics(t, true)
 	r := NewRegistry()
 	h := r.Histogram("t.hist")
 	for _, v := range []int64{0, 1, 1, 3, 100, -5} {
@@ -68,6 +78,44 @@ func TestHistogramBuckets(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("bucket %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestUpdatesGatedByMetricsFlag pins the telemetry-off contract the
+// instrumented packages rely on: with metrics off every update leaves its
+// instrument untouched, so call sites need no guard of their own; with
+// metrics on every update moves it.
+func TestUpdatesGatedByMetricsFlag(t *testing.T) {
+	r := NewRegistry()
+	c, g, h := r.Counter("t.gated_counter"), r.Gauge("t.gated_gauge"), r.Histogram("t.gated_hist")
+	update := map[string]func(){
+		"Counter.Inc":       func() { c.Inc() },
+		"Counter.Add":       func() { c.Add(3) },
+		"Gauge.Set":         func() { g.Set(g.Value() + 5) },
+		"Gauge.Add":         func() { g.Add(7) },
+		"Histogram.Observe": func() { h.Observe(9) },
+	}
+	state := func() [4]int64 { return [4]int64{c.Value(), g.Value(), h.Count(), h.Sum()} }
+
+	setMetrics(t, false)
+	for name, fn := range update {
+		before := state()
+		fn()
+		if after := state(); after != before {
+			t.Errorf("metrics off: %s moved (counter, gauge, hist count, hist sum) %v -> %v", name, before, after)
+		}
+	}
+	if len(h.Buckets()) != 0 {
+		t.Errorf("metrics off: histogram buckets = %v, want none", h.Buckets())
+	}
+
+	metricsOn.Store(true)
+	for name, fn := range update {
+		before := state()
+		fn()
+		if after := state(); after == before {
+			t.Errorf("metrics on: %s left the instrument at %v", name, before)
 		}
 	}
 }

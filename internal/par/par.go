@@ -13,8 +13,8 @@ import (
 // blocks (or Do functions) not yet finished — the pool's queue depth —
 // and hBlocksPerCall records how finely each parallel For call was
 // partitioned. Both touch only the parallel dispatch path, never the
-// serial fallback, and only when obs.MetricsEnabled(), so the
-// single-worker hot paths are unaffected.
+// serial fallback, and like every obs instrument they move only while
+// metrics are on, so the single-worker hot paths are unaffected.
 var (
 	cForCalls      = obs.NewCounter("par.for_calls")
 	cBlocks        = obs.NewCounter("par.blocks")
@@ -100,11 +100,8 @@ func For(n, grain int, fn func(start, end int)) {
 		fn(0, n)
 		return
 	}
-	track := obs.MetricsEnabled()
-	if track {
-		cForCalls.Inc()
-		hBlocksPerCall.Observe(int64((n + block - 1) / block))
-	}
+	cForCalls.Inc()
+	hBlocksPerCall.Observe(int64((n + block - 1) / block))
 	var wg sync.WaitGroup
 	var once sync.Once
 	var panicked any
@@ -114,15 +111,11 @@ func For(n, grain int, fn func(start, end int)) {
 			end = n
 		}
 		wg.Add(1)
-		if track {
-			cBlocks.Inc()
-			gInflight.Add(1)
-		}
+		cBlocks.Inc()
+		gInflight.Add(1)
 		go func(s, e int) {
 			defer wg.Done()
-			if track {
-				defer gInflight.Add(-1)
-			}
+			defer gInflight.Add(-1)
 			defer func() {
 				if r := recover(); r != nil {
 					once.Do(func() { panicked = r })
@@ -152,20 +145,15 @@ func Do(fns ...func()) {
 		}
 		return
 	}
-	track := obs.MetricsEnabled()
 	var wg sync.WaitGroup
 	var once sync.Once
 	var panicked any
 	for _, fn := range fns {
 		wg.Add(1)
-		if track {
-			gInflight.Add(1)
-		}
+		gInflight.Add(1)
 		go func(f func()) {
 			defer wg.Done()
-			if track {
-				defer gInflight.Add(-1)
-			}
+			defer gInflight.Add(-1)
 			defer func() {
 				if r := recover(); r != nil {
 					once.Do(func() { panicked = r })

@@ -87,18 +87,6 @@ func MagnitudeMask(w *tensor.Dense, sparsity float64) *Mask {
 	return m
 }
 
-// Apply zeroes the pruned entries of w in place.
-func Apply(w *tensor.Dense, m *Mask) {
-	if w.Rows != m.Rows || w.Cols != m.Cols {
-		panic(fmt.Sprintf("prune: mask %dx%d for weights %dx%d", m.Rows, m.Cols, w.Rows, w.Cols))
-	}
-	for i, k := range m.Keep {
-		if !k {
-			w.Data[i] = 0
-		}
-	}
-}
-
 func abs(v float64) float64 {
 	if v < 0 {
 		return -v

@@ -52,18 +52,6 @@ func TestMagnitudeMaskPanicsOnBadSparsity(t *testing.T) {
 	}
 }
 
-func TestApply(t *testing.T) {
-	w := tensor.FromSlice(1, 4, []float64{0.01, 5, -0.02, -7})
-	m := MagnitudeMask(w, 0.5)
-	Apply(w, m)
-	if w.Data[0] != 0 || w.Data[2] != 0 {
-		t.Error("pruned entries not zeroed")
-	}
-	if w.Data[1] != 5 || w.Data[3] != -7 {
-		t.Error("kept entries modified")
-	}
-}
-
 func TestMaskCloneIndependent(t *testing.T) {
 	m := NewMask(2, 2)
 	c := m.Clone()

@@ -9,9 +9,9 @@ import (
 )
 
 // Registry mirrors of the dynamic-fault counters (OBSERVABILITY.md,
-// "Chaos & write-verify"). Like the write-traffic counters they are only
-// bumped when obs.MetricsEnabled(); the Stats struct stays the per-crossbar
-// source of truth.
+// "Chaos & write-verify"). Like the write-traffic counters they move only
+// while metrics are on; the Stats struct stays the per-crossbar source of
+// truth.
 var (
 	cWriteRetries = obs.NewCounter("rram.write_retries")
 	cWriteGiveups = obs.NewCounter("rram.write_giveups")
@@ -111,9 +111,7 @@ func (cb *Crossbar) writeFailed() bool {
 		return false
 	}
 	cb.stats.WriteFails++
-	if obs.MetricsEnabled() {
-		cWriteFails.Inc()
-	}
+	cWriteFails.Inc()
 	return true
 }
 
@@ -134,9 +132,7 @@ func (cb *Crossbar) disturb(out []float64) {
 		}
 		out[i] += mag
 		cb.stats.ReadDisturbs++
-		if obs.MetricsEnabled() {
-			cReadDisturbs.Inc()
-		}
+		cReadDisturbs.Inc()
 	}
 }
 
@@ -193,9 +189,7 @@ func (cb *Crossbar) WriteVerified(r, c int, target float64, maxRetries int, tol 
 			break
 		}
 		cb.stats.WriteRetries++
-		if obs.MetricsEnabled() {
-			cWriteRetries.Inc()
-		}
+		cWriteRetries.Inc()
 	}
 	k := fault.SA0
 	if cb.EffectiveLevel(r, c) > max/2 {
@@ -204,9 +198,7 @@ func (cb *Crossbar) WriteVerified(r, c int, target float64, maxRetries int, tol 
 	cb.kind[i] = k
 	cb.gen++
 	cb.stats.WriteGiveups++
-	if obs.MetricsEnabled() {
-		cWriteGiveups.Inc()
-	}
+	cWriteGiveups.Inc()
 	return attempts, false
 }
 

@@ -27,8 +27,8 @@ import (
 // the checkpoint format; these process-wide counters exist so a journal
 // or the /debug/vars endpoint can watch write demand and wear-out
 // accumulate across every crossbar of the process while a run is live.
-// They are only bumped when obs.MetricsEnabled() — the telemetry-off hot
-// path pays one atomic load per site.
+// Like every obs instrument they move only while metrics are on, so the
+// telemetry-off hot path pays one atomic load per site.
 var (
 	cWrites        = obs.NewCounter("rram.writes")
 	cWritesOnStuck = obs.NewCounter("rram.writes_on_stuck")
@@ -237,23 +237,17 @@ func (cb *Crossbar) Write(r, c int, target float64) {
 	i := cb.idx(r, c)
 	if cb.kind[i].IsFault() {
 		cb.stats.AttemptedOnStuck++
-		if obs.MetricsEnabled() {
-			cWritesOnStuck.Inc()
-		}
+		cWritesOnStuck.Inc()
 		return
 	}
 	cb.writes[i]++
 	cb.stats.Writes++
-	if obs.MetricsEnabled() {
-		cWrites.Inc()
-	}
+	cWrites.Inc()
 	if cb.writes[i] > cb.budget[i] {
 		cb.kind[i] = cb.cfg.Endurance.WearKind(cb.rng)
 		cb.gen++
 		cb.stats.WearOuts++
-		if obs.MetricsEnabled() {
-			cWearOuts.Inc()
-		}
+		cWearOuts.Inc()
 		return
 	}
 	if cb.writeFailed() {
@@ -286,9 +280,7 @@ func (cb *Crossbar) CellWrites(r, c int) float64 { return cb.writes[cb.idx(r, c)
 // analog sum of effective levels observed at every column output port —
 // one test cycle of the quiescent-voltage method.
 func (cb *Crossbar) SenseColumns(rows []int) []float64 {
-	if obs.MetricsEnabled() {
-		cSenses.Inc()
-	}
+	cSenses.Inc()
 	out := make([]float64, cb.cols)
 	for _, r := range rows {
 		base := r * cb.cols
@@ -303,9 +295,7 @@ func (cb *Crossbar) SenseColumns(rows []int) []float64 {
 // SenseRows drives the given columns (the crossbar is usable in both
 // directions) and returns the analog sum at every row output port.
 func (cb *Crossbar) SenseRows(cols []int) []float64 {
-	if obs.MetricsEnabled() {
-		cSenses.Inc()
-	}
+	cSenses.Inc()
 	out := make([]float64, cb.rows)
 	for r := 0; r < cb.rows; r++ {
 		base := r * cb.cols
@@ -328,13 +318,4 @@ func (cb *Crossbar) effAt(i int) float64 {
 	default:
 		return cb.level[i]
 	}
-}
-
-// AvgWritesPerCell returns the mean cumulative write count.
-func (cb *Crossbar) AvgWritesPerCell() float64 {
-	var sum float64
-	for _, w := range cb.writes {
-		sum += w
-	}
-	return sum / float64(len(cb.writes))
 }

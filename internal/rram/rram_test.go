@@ -189,9 +189,6 @@ func TestCellWritesAndAvg(t *testing.T) {
 	if got := cb.CellWrites(0, 0); got != 2 {
 		t.Errorf("CellWrites = %v", got)
 	}
-	if got := cb.AvgWritesPerCell(); got != 0.75 {
-		t.Errorf("AvgWritesPerCell = %v, want 0.75", got)
-	}
 }
 
 func TestReadNoiseZeroIsExact(t *testing.T) {

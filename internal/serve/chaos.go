@@ -6,6 +6,7 @@ import (
 
 	"rramft/internal/chaos"
 	"rramft/internal/obs"
+	"rramft/internal/repair"
 )
 
 // Chaos-facing registry metrics: maintenance ticks skipped by an active
@@ -41,9 +42,7 @@ func (e *Engine) maintenanceStalled() bool {
 	if e.cfg.Clock.Now() >= e.stallUntil.Load() {
 		return false
 	}
-	if obs.MetricsEnabled() {
-		cMaintStalls.Inc()
-	}
+	cMaintStalls.Inc()
 	return true
 }
 
@@ -62,9 +61,7 @@ func (e *Engine) SaturateQueue(n int) int {
 			accepted++
 		}
 	}
-	if accepted > 0 && obs.MetricsEnabled() {
-		cSaturated.Add(int64(accepted))
-	}
+	cSaturated.Add(int64(accepted))
 	return accepted
 }
 
@@ -86,7 +83,7 @@ func (e *Engine) ChaosTarget() chaos.Target {
 			Name: s.Name(),
 			CB:   s.Crossbar(),
 			Step: func(fn func()) {
-				var st RepairStats
+				var st repair.Stats
 				e.lockedStep(&st, func() bool { fn(); return true })
 			},
 		})

@@ -7,6 +7,7 @@ import (
 	"rramft/internal/core"
 	"rramft/internal/dataset"
 	"rramft/internal/obs"
+	"rramft/internal/repair"
 	"rramft/internal/xrand"
 )
 
@@ -89,7 +90,7 @@ type ChaosScenarioResult struct {
 	// Fired is the campaign's per-kind firing totals; Stats the summed
 	// repair stats.
 	Fired map[string]int64
-	Stats RepairStats
+	Stats repair.Stats
 
 	// Engine is the still-running engine; Dataset the generated data.
 	Engine  *Engine

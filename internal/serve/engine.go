@@ -30,12 +30,13 @@
 // flagged on a gauge, counted per response, and stamped into each
 // Response via the epoch.
 //
-// The request path is allocation-free at steady state: batch assembly and
-// the batched input matrix are executor-owned scratch, synchronous Infer
-// recycles its bookkeeping through a free list, and the batched forward
-// pass reuses the network's layer buffers. AllocsPerRun gates pin 0
-// allocs/op; PERFORMANCE.md documents the policy and the measured
-// batching speedup, DESIGN.md §7 the buffer-ownership rules.
+// There is one admission path: Submit, which Infer wraps with a receive.
+// It allocates per request only the pending entry and its response
+// channel. Batch assembly and the batched input matrix are executor-owned
+// scratch, and the batched forward pass reuses the network's layer
+// buffers, so the executor allocates nothing at steady state. AllocsPerRun
+// gates pin both counts; PERFORMANCE.md documents the policy and the
+// measured batching speedup, DESIGN.md §7 the buffer-ownership rules.
 package serve
 
 import (
@@ -52,8 +53,8 @@ import (
 )
 
 // Registry metrics for the serving layer (OBSERVABILITY.md): queue and
-// batching behaviour, latency, and the degraded-mode window. Bumped only
-// when obs.MetricsEnabled().
+// batching behaviour, latency, and the degraded-mode window. Like every obs
+// instrument they move only while metrics are on.
 var (
 	cRequests        = obs.NewCounter("serve.requests")
 	cResponses       = obs.NewCounter("serve.responses")
@@ -175,16 +176,6 @@ type Engine struct {
 	xBuf       *tensor.Dense
 	classBuf   []int
 
-	// poolMu guards pool, a free list of pending structs recycled by the
-	// synchronous Infer path (each with its response channel pre-made).
-	// A deliberate plain free list, not a sync.Pool: nothing is dropped
-	// on GC, so the steady state is exactly allocation-free and the
-	// churn is deterministic. Submit does NOT use the pool — its response
-	// channel escapes to the caller, so its pending can never be safely
-	// recycled.
-	poolMu sync.Mutex
-	pool   []*pending
-
 	// mu is the substrate lock. The batch executor holds it across one
 	// batched forward pass; the maintenance loop holds it across one
 	// repair step — never a whole pass. Everything the model mutates
@@ -265,17 +256,13 @@ func (e *Engine) Degraded() bool { return e.degraded.Load() }
 // as before, there is simply no new work.
 func (e *Engine) Drain() {
 	e.draining.Store(true)
-	if obs.MetricsEnabled() {
-		gDraining.Set(1)
-	}
+	gDraining.Set(1)
 }
 
 // Resume re-opens admission after a Drain.
 func (e *Engine) Resume() {
 	e.draining.Store(false)
-	if obs.MetricsEnabled() {
-		gDraining.Set(0)
-	}
+	gDraining.Set(0)
 }
 
 // Draining reports whether admission is currently closed by Drain.
@@ -291,88 +278,42 @@ func (e *Engine) QueueDepth() int { return len(e.queue) }
 // when the bounded queue is full, ErrDraining while drained, and
 // ErrClosed after Close.
 func (e *Engine) Submit(req *Request) (<-chan Response, error) {
-	p := &pending{req: req, resp: make(chan Response, 1)}
-	if err := e.submit(p); err != nil {
-		return nil, err
-	}
-	return p.resp, nil
-}
-
-// submit stamps and enqueues one pending request — the admission path
-// shared by Submit (caller-owned pending) and Infer (pooled pending).
-func (e *Engine) submit(p *pending) error {
-	if len(p.req.X) != e.inSize {
-		return fmt.Errorf("%w: got %d features, model takes %d", ErrBadShape, len(p.req.X), e.inSize)
+	if len(req.X) != e.inSize {
+		return nil, fmt.Errorf("%w: got %d features, model takes %d", ErrBadShape, len(req.X), e.inSize)
 	}
 	e.submitMu.RLock()
 	defer e.submitMu.RUnlock()
 	if e.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	if e.draining.Load() {
-		if obs.MetricsEnabled() {
-			cDrainRejects.Inc()
-		}
-		return ErrDraining
+		cDrainRejects.Inc()
+		return nil, ErrDraining
 	}
-	now := e.cfg.Clock.Now()
-	p.enq = now
-	p.deadline = 0
+	p := &pending{req: req, enq: e.cfg.Clock.Now(), resp: make(chan Response, 1)}
 	if e.cfg.Timeout > 0 {
-		p.deadline = now + e.cfg.Timeout.Nanoseconds()
+		p.deadline = p.enq + e.cfg.Timeout.Nanoseconds()
 	}
 	select {
 	case e.queue <- p:
-		if obs.MetricsEnabled() {
-			cRequests.Inc()
-			gQueueDepth.Add(1)
-		}
-		return nil
+		cRequests.Inc()
+		gQueueDepth.Add(1)
+		return p.resp, nil
 	default:
-		if obs.MetricsEnabled() {
-			cRejected.Inc()
-		}
-		return ErrOverloaded
+		cRejected.Inc()
+		return nil, ErrOverloaded
 	}
 }
 
-// getPending pops a recycled pending (or makes one on a cold pool).
-func (e *Engine) getPending(req *Request) *pending {
-	e.poolMu.Lock()
-	if n := len(e.pool); n > 0 {
-		p := e.pool[n-1]
-		e.pool = e.pool[:n-1]
-		e.poolMu.Unlock()
-		p.req = req
-		return p
-	}
-	e.poolMu.Unlock()
-	return &pending{req: req, resp: make(chan Response, 1)}
-}
-
-// putPending recycles a pending whose response has been consumed (its
-// channel is empty again, so it can carry the next request).
-func (e *Engine) putPending(p *pending) {
-	p.req = nil
-	e.poolMu.Lock()
-	e.pool = append(e.pool, p)
-	e.poolMu.Unlock()
-}
-
-// Infer submits req and blocks until its response (submission errors are
-// returned inside the Response). Unlike Submit it recycles its request
-// bookkeeping through the engine's free list — the caller never sees the
-// response channel, so the synchronous path is allocation-free at steady
-// state.
+// Infer submits req and blocks until its response; submission errors are
+// returned inside the Response. It is Submit plus a receive, the same
+// admission path every other caller takes.
 func (e *Engine) Infer(req *Request) Response {
-	p := e.getPending(req)
-	if err := e.submit(p); err != nil {
-		e.putPending(p)
+	ch, err := e.Submit(req)
+	if err != nil {
 		return Response{ID: req.ID, Err: err}
 	}
-	r := <-p.resp
-	e.putPending(p)
-	return r
+	return <-ch
 }
 
 // run is the batch executor: the only goroutine that dequeues requests and
@@ -382,7 +323,7 @@ func (e *Engine) run() {
 	for {
 		select {
 		case p := <-e.queue:
-			e.dequeued()
+			gQueueDepth.Add(-1)
 			e.serveOne(p)
 		case <-e.done:
 			// Serve whatever is still queued, a batch at a time. Close
@@ -392,7 +333,7 @@ func (e *Engine) run() {
 			for {
 				select {
 				case p := <-e.queue:
-					e.dequeued()
+					gQueueDepth.Add(-1)
 					e.serveOne(p)
 				default:
 					return
@@ -411,13 +352,6 @@ func (e *Engine) serveOne(p *pending) {
 	e.collectBuf = batch[:0]
 }
 
-// dequeued maintains the queue-depth gauge.
-func (e *Engine) dequeued() {
-	if obs.MetricsEnabled() {
-		gQueueDepth.Add(-1)
-	}
-}
-
 // collect assembles a batch: first plus whatever is already queued behind
 // it, up to MaxBatch. It never waits for requests that have not arrived;
 // the backlog that forms while a batch holds the substrate lock is what
@@ -427,7 +361,7 @@ func (e *Engine) collect(first *pending) []*pending {
 	for len(batch) < e.cfg.MaxBatch {
 		select {
 		case p := <-e.queue:
-			e.dequeued()
+			gQueueDepth.Add(-1)
 			batch = append(batch, p)
 		default:
 			return batch
@@ -447,9 +381,7 @@ func (e *Engine) runBatch(batch []*pending) {
 	for _, p := range batch {
 		if p.deadline > 0 && now > p.deadline {
 			p.resp <- Response{ID: p.req.ID, Err: ErrDeadlineExceeded}
-			if obs.MetricsEnabled() {
-				cTimeouts.Inc()
-			}
+			cTimeouts.Inc()
 			continue
 		}
 		live = append(live, p)
@@ -469,26 +401,17 @@ func (e *Engine) runBatch(batch []*pending) {
 	epoch := e.forwardInto(classes, x)
 	end := e.cfg.Clock.Now()
 	degraded := e.degraded.Load()
-	metricsOn := obs.MetricsEnabled()
 	for i, p := range live {
-		// Sending the response publishes p: a synchronous caller may recycle
-		// it through the free list and a new submit may re-stamp p.enq the
-		// moment the send completes. Read everything needed from p before
-		// the send and never touch it after.
 		lat := end - p.enq
 		p.resp <- Response{ID: p.req.ID, Class: classes[i], Epoch: epoch, LatencyNs: lat}
-		if metricsOn {
-			cResponses.Inc()
-			hLatencyNs.Observe(lat)
-			if degraded {
-				cDegradedResp.Inc()
-			}
+		cResponses.Inc()
+		hLatencyNs.Observe(lat)
+		if degraded {
+			cDegradedResp.Inc()
 		}
 	}
-	if metricsOn {
-		cBatches.Inc()
-		hBatchSize.Observe(int64(len(live)))
-	}
+	cBatches.Inc()
+	hBatchSize.Observe(int64(len(live)))
 }
 
 // forwardInto runs one batched forward pass under the substrate lock,

@@ -170,7 +170,7 @@ func TestRepairRecoversFromBurst(t *testing.T) {
 	x := randBatch(rng, 40)
 	before := e.InferBatch(x)
 
-	e.InjectFaultBurst(0.15, 0.3, fault.Uniform{}, rng)
+	e.InjectFaultBurst(0.15, 0.3, rng)
 	cfg := DefaultRepairConfig()
 	cfg.Oracle = true
 	e.RepairPass(cfg, rng)
@@ -318,7 +318,7 @@ func TestReadCacheRebuildsOnlyOnMutation(t *testing.T) {
 	if got := serve(50); got != 0 {
 		t.Errorf("50 batches on an unchanged substrate rebuilt %d times, want 0", got)
 	}
-	e.InjectFaultBurst(0.1, 0.5, nil, xrand.New(8))
+	e.InjectFaultBurst(0.1, 0.5, xrand.New(8))
 	if got := serve(1); got != stores {
 		t.Errorf("first batch after a fault burst rebuilt %d times, want one per store (%d)", got, stores)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"rramft/internal/fault"
 	"rramft/internal/obs"
 	"rramft/internal/xrand"
 )
@@ -29,7 +28,7 @@ func TestRepairStepHoldShortAgainstPass(t *testing.T) {
 	e := NewEngine(m, ds.InSize(), cfg.Serve)
 	defer e.Close()
 	rng := xrand.Derive(cfg.Seed, "lock-discipline")
-	e.InjectFaultBurst(0.03, cfg.BurstSA0, fault.Uniform{}, rng)
+	e.InjectFaultBurst(0.03, cfg.BurstSA0, rng)
 
 	// Each hook call follows one step's unlock, so the histogram sum's
 	// growth since the previous call is that step's hold.

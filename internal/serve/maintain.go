@@ -61,11 +61,6 @@ func (c RepairConfig) WithDefaults() RepairConfig {
 	return c
 }
 
-// RepairStats summarizes one repair pass. It is the repair layer's Stats;
-// the alias keeps the serving API stable across the extraction of
-// internal/repair.
-type RepairStats = repair.Stats
-
 // StartMaintenance launches the single-writer maintenance goroutine: every
 // cfg.Every on the engine clock it runs one RepairPass against the live
 // substrate. There is exactly one maintenance writer per engine — a second
@@ -109,7 +104,7 @@ func (e *Engine) StartMaintenance(cfg RepairConfig, rng *xrand.Stream) error {
 // RepairPass is the single-writer maintenance entry point: it must not run
 // concurrently with itself. StartMaintenance's loop is the usual owner;
 // call RepairPass directly only on an engine without a maintenance loop.
-func (e *Engine) RepairPass(cfg RepairConfig, rng *xrand.Stream) RepairStats {
+func (e *Engine) RepairPass(cfg RepairConfig, rng *xrand.Stream) repair.Stats {
 	cfg = cfg.WithDefaults()
 	span := obs.Span("repair")
 	defer span.End()
@@ -126,9 +121,7 @@ func (e *Engine) RepairPass(cfg RepairConfig, rng *xrand.Stream) RepairStats {
 	}
 	e.repairPhase++
 	st := ctrl.RunPhase(e.repairPhase, rng)
-	if obs.MetricsEnabled() {
-		cRepairPasses.Inc()
-	}
+	cRepairPasses.Inc()
 	if obs.Enabled() {
 		obs.Emit("repair", map[string]float64{
 			"steps":          float64(st.Steps),
@@ -148,28 +141,26 @@ func (e *Engine) RepairPass(cfg RepairConfig, rng *xrand.Stream) RepairStats {
 // lock is released — the Step hook the engine injects into the repair
 // controller. With metrics on, the time fn holds the lock is observed on
 // serve.repair_step_hold_ns: how long the step blocks inference.
-func (e *Engine) lockedStep(st *RepairStats, fn func() bool) {
-	metricsOn := obs.MetricsEnabled()
+func (e *Engine) lockedStep(st *repair.Stats, fn func() bool) {
+	// Read the flag here rather than leave it to Observe: the two clock
+	// reads exist only to time the hold, so telemetry-off runs skip them,
+	// and a fake clock sees no extra reads.
+	timed := obs.MetricsEnabled()
 	e.mu.Lock()
 	var t0 int64
-	if metricsOn {
+	if timed {
 		t0 = e.cfg.Clock.Now()
 	}
 	changed := fn()
-	if metricsOn {
+	if timed {
 		hRepairHoldNs.Observe(e.cfg.Clock.Now() - t0)
 	}
 	if changed {
-		v := e.epoch.Add(1)
-		if metricsOn {
-			gEpoch.Set(v)
-		}
+		gEpoch.Set(e.epoch.Add(1))
 	}
 	e.mu.Unlock()
 	st.Steps++
-	if metricsOn {
-		cRepairSteps.Inc()
-	}
+	cRepairSteps.Inc()
 	if e.repairStepHook != nil {
 		e.repairStepHook(st.Steps)
 	}
@@ -178,30 +169,24 @@ func (e *Engine) lockedStep(st *RepairStats, fn func() bool) {
 // setDegraded flips the degraded-mode flag and its gauge.
 func (e *Engine) setDegraded(on bool) {
 	e.degraded.Store(on)
-	if obs.MetricsEnabled() {
-		if on {
-			gDegraded.Set(1)
-		} else {
-			gDegraded.Set(0)
-		}
+	var v int64
+	if on {
+		v = 1
 	}
+	gDegraded.Set(v)
 }
 
-// InjectFaultBurst strikes every crossbar with additional stuck-at faults
-// — the fault-injection-during-serving scenario. frac is the per-crossbar
-// fraction of cells hit, sa0 the SA0 share, dist the spatial distribution
-// (nil = uniform). Each store is struck inside its own locked step, so
-// serving continues between strikes.
-func (e *Engine) InjectFaultBurst(frac, sa0 float64, dist fault.Distribution, rng *xrand.Stream) {
-	if dist == nil {
-		dist = fault.Uniform{}
-	}
-	var st RepairStats
+// InjectFaultBurst strikes every crossbar with additional stuck-at faults,
+// spread uniformly — the fault-injection-during-serving scenario. frac is
+// the per-crossbar fraction of cells hit, sa0 the SA0 share. Each store is
+// struck inside its own locked step, so serving continues between strikes.
+func (e *Engine) InjectFaultBurst(frac, sa0 float64, rng *xrand.Stream) {
+	var st repair.Stats
 	for _, b := range e.model.RCSBindings() {
 		b := b
 		rows, cols := b.Store.Shape()
 		fm := fault.NewMap(rows, cols)
-		dist.Inject(fm, frac, sa0, rng.Split(b.Store.Name()))
+		fault.Uniform{}.Inject(fm, frac, sa0, rng.Split(b.Store.Name()))
 		e.lockedStep(&st, func() bool {
 			b.Store.Crossbar().InjectFaults(fm)
 			return true

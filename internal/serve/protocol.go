@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-
-	"rramft/internal/obs"
 )
 
 // MaxRequestBytes caps one request line of the wire protocol. Longer lines
@@ -87,7 +85,7 @@ type wireResponse struct {
 // it. Both give the same result for every line (DESIGN.md §12).
 func DecodeRequest(line []byte, inSize int) (*Request, error) {
 	req, err := decodeRequest(line, inSize)
-	if err != nil && obs.MetricsEnabled() {
+	if err != nil {
 		cDecodeErrors.Inc()
 	}
 	return req, err
@@ -100,9 +98,7 @@ func decodeRequest(line []byte, inSize int) (*Request, error) {
 	if req := decodePlain(line, inSize); req != nil {
 		return req, nil
 	}
-	if obs.MetricsEnabled() {
-		cDecodeFallbacks.Inc()
-	}
+	cDecodeFallbacks.Inc()
 	var wr wireRequest
 	if err := json.Unmarshal(line, &wr); err != nil {
 		err = fmt.Errorf("serve: bad request json: %w", err)

@@ -6,6 +6,7 @@ import (
 	"rramft/internal/fault"
 	"rramft/internal/mapping"
 	"rramft/internal/obs"
+	"rramft/internal/repair"
 	"rramft/internal/rram"
 	"rramft/internal/xrand"
 )
@@ -74,7 +75,7 @@ type ScenarioResult struct {
 	Degraded float64
 	Repaired float64
 	// Stats is the repair pass summary.
-	Stats RepairStats
+	Stats repair.Stats
 	// Engine is the still-running engine; Dataset the generated data.
 	Engine  *Engine
 	Dataset *dataset.Dataset
@@ -116,7 +117,7 @@ func ServeRepairPhases(m *core.Model, ds *dataset.Dataset, cfg ScenarioConfig) *
 	res.PreFault = e.AccuracyBatched(ds.TestX, ds.TestY)
 	emitPhase("pre_fault", res.PreFault, e)
 
-	e.InjectFaultBurst(cfg.BurstFrac, cfg.BurstSA0, fault.Uniform{}, rng)
+	e.InjectFaultBurst(cfg.BurstFrac, cfg.BurstSA0, rng)
 	res.Degraded = e.AccuracyBatched(ds.TestX, ds.TestY)
 	emitPhase("degraded", res.Degraded, e)
 

@@ -57,7 +57,7 @@ func TestServeSoak(t *testing.T) {
 	go func() {
 		defer close(burstDone)
 		time.Sleep(dur / 3)
-		e.InjectFaultBurst(0.05, 0.5, fault.Uniform{}, xrand.New(33))
+		e.InjectFaultBurst(0.05, 0.5, xrand.New(33))
 	}()
 
 	rng := xrand.New(34)

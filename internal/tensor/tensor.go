@@ -302,15 +302,6 @@ func Add(dst, a, b *Dense) {
 	}
 }
 
-// Sub computes dst = a - b element-wise. dst may alias a or b.
-func Sub(dst, a, b *Dense) {
-	a.mustSameShape(b)
-	dst.mustSameShape(a)
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
-}
-
 // Mul computes dst = a ⊙ b (Hadamard product). dst may alias a or b.
 func Mul(dst, a, b *Dense) {
 	a.mustSameShape(b)
@@ -335,13 +326,6 @@ func (m *Dense) AddScaled(s float64, o *Dense) {
 	}
 }
 
-// Apply sets m[i] = f(m[i]) for every element.
-func (m *Dense) Apply(f func(float64) float64) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-}
-
 // MaxAbs returns the maximum absolute value in m (0 for an empty matrix).
 func (m *Dense) MaxAbs() float64 {
 	var max float64
@@ -360,15 +344,6 @@ func (m *Dense) Sum() float64 {
 		s += v
 	}
 	return s
-}
-
-// Norm2 returns the Frobenius norm of m.
-func (m *Dense) Norm2() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // Equal reports whether a and b have the same shape and all elements are

@@ -21,7 +21,8 @@ import (
 // the write-filtering rate — the paper's §5.1 lifetime lever — evolving
 // during the run rather than only as an end-of-run ratio. They are
 // flushed once per FilterDelta call from local tallies (never per weight
-// entry) and only when obs.MetricsEnabled().
+// entry), and like every obs instrument they move only while metrics are
+// on.
 var (
 	cProposed   = obs.NewCounter("train.updates_proposed")
 	cWritten    = obs.NewCounter("train.updates_written")
@@ -199,11 +200,9 @@ func (t *Threshold) filterWithBase(p *nn.Param, delta *tensor.Dense, base float6
 	}
 	t.stats.Proposed += proposed
 	t.stats.Written += written
-	if obs.MetricsEnabled() {
-		cProposed.Add(proposed)
-		cWritten.Add(written)
-		cSuppressed.Add(proposed - written)
-	}
+	cProposed.Add(proposed)
+	cWritten.Add(written)
+	cSuppressed.Add(proposed - written)
 }
 
 // DeltaHistogram bins |δw|/max|δw| ratios of one update matrix into the

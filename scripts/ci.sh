@@ -57,6 +57,23 @@ for pkg in internal/obs internal/cliutil internal/repair internal/cluster \
 done
 scripts/gen_cli_docs.sh -check
 
+# Metric docs gate: OBSERVABILITY.md and the metric registry must name the
+# same metrics, so a new counter cannot ship undocumented and the doc
+# cannot keep a metric the code dropped.
+scripts/check_metric_docs.sh
+
+# Inline gate for the telemetry-off contract (DESIGN.md §10): call sites
+# update metrics unguarded because each update method checks the metrics
+# flag itself. That costs one atomic load per site only while the
+# compiler inlines the method, so the build fails when it stops doing so.
+inlining=$(go build -gcflags=-m ./internal/obs 2>&1)
+for method in '(*Counter).Inc' '(*Counter).Add' '(*Gauge).Set' '(*Gauge).Add' '(*Histogram).Observe'; do
+    if ! echo "$inlining" | grep -qF ": can inline $method"; then
+        echo "inline gate: obs $method is no longer inlinable" >&2
+        exit 1
+    fi
+done
+
 # Layering gate: internal/repair is the shared maintenance layer under both
 # the trainer and the serving engine; it must depend on neither (DESIGN.md
 # §11). An import in either direction would be a cycle waiting to happen
